@@ -49,6 +49,7 @@
 // check the fabric's frame-conservation invariant at the end of the run.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -214,17 +215,30 @@ struct FuzzExecConfig {
 /// Outcome of one scenario run under one allocator.
 struct FuzzCaseResult {
   std::uint64_t violations = 0;
+  // Oracle samples: the oracle sweeps after every event, so these depend on
+  // how many events ran, not only on behaviour, and are kept out of the
+  // digest (an optimization that runs fewer events for the same behaviour
+  // changes them alone). A replay must still reproduce them exactly.
   std::uint64_t checks = 0;  ///< oracle checks run during this case
+  /// Largest gossip-view age the oracle sampled (decentralized plane only).
+  double max_staleness_sampled_ms = 0.0;
   std::string report;        ///< oracle report (empty when clean)
-  /// Byte-exact digest of the run (trace events + metrics + substrate
-  /// counters, hex-float formatted). Identical seeds must produce
-  /// identical digests.
+  /// Byte-exact behaviour digest of the run (trace events + metrics +
+  /// substrate counters, hex-float formatted). Identical seeds must produce
+  /// identical digests and identical oracle samples.
   std::string digest;
   /// Observability reconciliation report (only when an obs bundle was
   /// passed): empty when the obs trace/metrics totals agree with
   /// EpisodeMetrics and the oracle's own observation counters, else one
   /// line per disagreement.
   std::string obs_mismatch;
+
+  /// True when `other` sampled exactly what this run did (bit for bit).
+  bool sameOracleSamples(const FuzzCaseResult& other) const {
+    return checks == other.checks &&
+           std::bit_cast<std::uint64_t>(max_staleness_sampled_ms) ==
+               std::bit_cast<std::uint64_t>(other.max_staleness_sampled_ms);
+  }
 };
 
 /// Runs one scenario under one allocator with the oracle attached. When

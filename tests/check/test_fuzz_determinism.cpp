@@ -66,6 +66,8 @@ TEST_F(FuzzDeterminism, DetDigestsByteIdenticalAcrossThreadCounts) {
           << "seed " << seed << ": deterministic digest diverged at "
           << threads << " threads (" << base.digest.size() << " vs "
           << run.digest.size() << " bytes)";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
@@ -93,6 +95,8 @@ TEST_F(FuzzDeterminism, AdaptiveVsStaticDigestParityAcrossThreadCounts) {
           << "seed " << seed << ": adaptive digest diverged from the "
           << "static baseline at " << threads << " threads ("
           << base.digest.size() << " vs " << run.digest.size() << " bytes)";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
@@ -130,6 +134,8 @@ TEST_F(FuzzDeterminism, ManagerCrashDigestsByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(base.digest, run.digest)
           << "seed " << c.seed << ": manager-crash digest diverged at "
           << threads << " threads";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
@@ -158,6 +164,8 @@ TEST_F(FuzzDeterminism, SchedDimensionDigestsByteIdenticalAcrossThreadCounts) {
           << "seed " << seed << " (" << scenario.summary()
           << "): sched-dimension digest diverged at " << threads
           << " threads";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
@@ -187,6 +195,8 @@ TEST_F(FuzzDeterminism, SwitchedFabricDigestsByteIdenticalAcrossThreadCounts) {
           << "seed " << seed << " (" << scenario.summary()
           << "): switched-fabric digest diverged at " << threads
           << " threads";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
@@ -229,6 +239,8 @@ TEST_F(FuzzDeterminism, FastDigestsByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(base.digest, run.digest)
           << "seed " << seed << ": fast digest diverged at " << threads
           << " threads";
+      EXPECT_TRUE(base.sameOracleSamples(run))  // kept out of the digest
+          << "oracle samples diverged";
     }
   }
 }
