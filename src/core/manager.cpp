@@ -370,6 +370,11 @@ void ResourceManager::onRecord(const task::PeriodRecord& record) {
       // becomes effective after the control-plane latency.
       rt_.sim.scheduleAfter(
           config_.action_latency, [this, placement, workload] {
+            // Deposed while the decision was in flight: the new owner
+            // decides from its own view, so this one never lands.
+            if (gate_ != nullptr && !gate_()) {
+              return;
+            }
             runner_->setPlacement(placement);
             obsRecord(obs::RecordKind::kPlacementChanged);
             if (observer_ != nullptr) {

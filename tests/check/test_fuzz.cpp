@@ -192,6 +192,16 @@ TEST(RunFuzzSeed, CleanSeedsPassBothAllocatorsAndReplay) {
   }
 }
 
+// Regression: with a control-plane action latency, a placement decided just
+// before its manager was deposed used to land after the handover
+// (`--manager-faults --replay-seed 193`: plane-deposed-decision).
+TEST(RunFuzzSeed, DeposedManagersDeferredPlacementNeverLands) {
+  const FuzzOutcome out = runFuzzSeed(193, {}, /*with_faults=*/false, {},
+                                      /*with_manager_faults=*/true);
+  EXPECT_FALSE(out.failed()) << out.detail;
+  EXPECT_GT(out.checks, 0u);
+}
+
 TEST(RunFuzzCase, SameScenarioProducesByteIdenticalDigests) {
   const FuzzScenario s = makeFuzzScenario(5);
   const FuzzCaseResult a = runFuzzCase(s, AllocatorKind::kPredictive);
