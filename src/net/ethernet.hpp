@@ -10,6 +10,13 @@
 // its last frame arrives. The paper's buffer delay Dbuf (eq. 5) *emerges*
 // here as the head-of-line wait behind other periods' traffic, and its
 // transmission delay Dtrans (eq. 6) as the serialization time.
+//
+// Frame trains: a grant to the only backlogged NIC, with no frame-fate hook
+// armed, schedules one event at the head message's last frame end instead
+// of one per frame. The skipped frame ends are applied lazily, with the
+// per-frame path's own double additions, whenever something reads or
+// perturbs the bus, so every receipt and counter is bit-identical to the
+// per-frame path. See docs/architecture.md, "Shared bus and frame trains".
 #pragma once
 
 #include <cstdint>
@@ -63,6 +70,7 @@ class Ethernet final : public NetworkModel {
  public:
   Ethernet(sim::Simulator& simulator, std::size_t node_count,
            EthernetConfig config = {});
+  ~Ethernet() override;
   Ethernet(const Ethernet&) = delete;
   Ethernet& operator=(const Ethernet&) = delete;
 
@@ -88,10 +96,9 @@ class Ethernet final : public NetworkModel {
   /// every frame is exactly one hop: the hook fires once per frame with
   /// segment 0, port 0. Same-node hand-offs never touch the wire and are
   /// exempt. With no hook installed every frame delivers, at zero added
-  /// cost. Pass nullptr to clear.
-  void setFrameFateHook(FrameFateHook hook) override {
-    frame_fate_hook_ = std::move(hook);
-  }
+  /// cost. Pass nullptr to clear. Arming a hook mid-train splits the train,
+  /// so the hook decides the fate of the frame in flight onward.
+  void setFrameFateHook(FrameFateHook hook) override;
 
   /// The sharded engine's conservative barrier lookahead (see
   /// EthernetConfig::minCrossShardLatency()).
@@ -99,10 +106,11 @@ class Ethernet final : public NetworkModel {
     return config_.minCrossShardLatency();
   }
 
-  /// Cumulative wire-busy time (for utilization accounting).
+  /// Cumulative wire-busy time (for utilization accounting). Equal bits on
+  /// either side of a frame boundary, train or not.
   SimDuration busyTime() const override;
   std::uint64_t messagesDelivered() const override { return delivered_; }
-  std::uint64_t framesOnWire() const override { return frames_; }
+  std::uint64_t framesOnWire() const override;
   /// Frames whose wire time was spent but whose payload the receiver
   /// rejected (each forced a retransmission).
   std::uint64_t framesLost() const override { return frames_lost_; }
@@ -110,7 +118,7 @@ class Ethernet final : public NetworkModel {
   std::uint64_t framesDuplicated() const override {
     return frames_duplicated_;
   }
-  double payloadBytesCarried() const override { return payload_bytes_; }
+  double payloadBytesCarried() const override;
   /// Payload bytes this NIC has put on the wire so far (per-sender
   /// attribution for hot-talker diagnosis).
   double payloadBytesFrom(ProcessorId nic) const override;
@@ -129,33 +137,75 @@ class Ethernet final : public NetworkModel {
     bool started = false;
   };
 
+  /// The head message of one NIC on the wire as a single event (see the
+  /// file comment). Frame i (0-based) ends at ends[i]; frame ends before
+  /// ends[passed] have been applied to the counters, the last one is the
+  /// train's event.
+  struct Train {
+    bool active = false;
+    std::size_t nic = 0;
+    /// Same-time order key of the train's event. Every skipped frame end
+    /// sits right after it among equal-time events (see catchUp()).
+    std::uint64_t mark = 0;
+    sim::EventId event{};
+    std::size_t passed = 0;
+    std::vector<SimTime> ends;
+    /// Payload still to send after the applied frames (the Pending's own
+    /// copy is brought up to date when the train ends or splits).
+    Bytes remaining = Bytes::zero();
+  };
+
   /// Begin serializing the next frame if the bus is idle and work exists.
   void arbitrate();
   void onFrameEnd(std::size_t nic);
   /// A duplicated frame's copy finished its (pure-accounting) wire time.
   void onDuplicateEnd();
-  /// Wire time of the next frame of `p` (overhead + clamped payload chunk).
-  SimDuration frameTime(const Pending& p) const;
-  Bytes frameChunk(const Pending& p) const;
+  /// Wire time of the next frame when `remaining` payload bytes are left
+  /// (overhead + clamped payload chunk).
+  SimDuration frameTime(Bytes remaining) const;
+  Bytes frameChunk(Bytes remaining) const;
 
   /// Marshalling completed: move the message into the NIC wire queue.
   void onMarshalled(std::size_t nic, Pending p);
 
+  /// Turns the grant just made to `nic` into a train when its head message
+  /// spans more than one frame. Returns false to keep the per-frame path.
+  bool startTrain(std::size_t nic);
+  /// Applies, in order, every skipped frame end that precedes the current
+  /// execution position. Const because reads catch up before answering.
+  void catchUp() const;
+  /// Applies the next skipped frame end: the per-frame path's onFrameEnd
+  /// for a delivered non-final frame, then its re-grant to the same NIC.
+  void passFrameEnd() const;
+  /// Ends the train at the current position: the frame in flight gets its
+  /// real per-frame end event and the bus is per-frame again.
+  void splitTrain();
+  /// The train's event: the last frame ends, through the per-frame path.
+  void onTrainEnd();
+  /// Insertion guard: an event about to be scheduled at a frame end still
+  /// ahead would tie with a skipped event, so the train splits first.
+  void onInsertion(SimTime at);
+
   sim::Simulator& sim_;
   EthernetConfig config_;
   std::vector<std::deque<Pending>> nics_;
+  /// NICs with a non-empty wire queue.
+  std::size_t backlogged_nics_ = 0;
   /// Per-NIC watermark: host marshalling stage is busy until this time.
   std::vector<SimTime> marshal_busy_until_;
   std::size_t rr_next_ = 0;   // round-robin arbitration pointer
   bool bus_busy_ = false;
-  SimTime busy_since_ = SimTime::zero();
-  SimDuration busy_accum_ = SimDuration::zero();
+  // The counters below are `mutable` only so that reads can catch up on a
+  // train's skipped frame ends before answering (catchUp()).
+  mutable SimTime busy_since_ = SimTime::zero();
+  mutable SimDuration busy_accum_ = SimDuration::zero();
   std::uint64_t delivered_ = 0;
-  std::uint64_t frames_ = 0;
+  mutable std::uint64_t frames_ = 0;
   std::uint64_t frames_lost_ = 0;
   std::uint64_t frames_duplicated_ = 0;
-  double payload_bytes_ = 0.0;
-  std::vector<double> payload_bytes_from_;
+  mutable double payload_bytes_ = 0.0;
+  mutable std::vector<double> payload_bytes_from_;
+  mutable Train train_;
   DeliveryObserver delivery_observer_;
   FrameFateHook frame_fate_hook_;
 };

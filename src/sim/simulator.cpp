@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -131,6 +132,7 @@ EventId Simulator::scheduleKeyed(SimTime at, std::uint64_t seq_key,
 }
 
 EventId Simulator::scheduleAt(SimTime at, Callback cb) {
+  guardInsertion(at);
   return scheduleKeyed(at, next_seq_++, std::move(cb));
 }
 
@@ -140,7 +142,23 @@ EventId Simulator::scheduleAtMerged(SimTime at, std::uint32_t src_shard,
   RTDRM_ASSERT_MSG(src_seq < (1ull << 48), "post sequence overflows the key");
   const std::uint64_t key =
       kMergedBand | (static_cast<std::uint64_t>(src_shard) << 48) | src_seq;
+  guardInsertion(at);
   return scheduleKeyed(at, key, std::move(cb));
+}
+
+void Simulator::armInsertionGuard(SimTime lo, SimTime hi,
+                                  InsertionGuard fn) {
+  RTDRM_ASSERT_MSG(!insertionGuardArmed(), "insertion guard already armed");
+  RTDRM_ASSERT(lo <= hi && fn != nullptr);
+  guard_ = std::move(fn);
+  guard_lo_ = lo.ms();
+  guard_hi_ = hi.ms();
+}
+
+void Simulator::disarmInsertionGuard() {
+  // Only the window closes: the callable may be the one running right now.
+  guard_lo_ = std::numeric_limits<double>::infinity();
+  guard_hi_ = -std::numeric_limits<double>::infinity();
 }
 
 EventId Simulator::scheduleAfter(SimDuration delay, Callback cb) {
@@ -174,6 +192,7 @@ bool Simulator::fireHead() {
     return false;
   }
   now_ = SimTime::millis(e.time_ms);
+  cursor_ = e.seq;
   Callback cb = std::move(s.cb);
   releaseSlot(e.slot);  // before invoking: the id is dead once it fires
   --live_;
@@ -194,8 +213,9 @@ bool Simulator::runUntil(SimTime until) {
       return false;  // clock stays at the event that requested the stop
     }
   }
-  if (now_ < until) {
+  if (now_ <= until) {
     now_ = until;  // idle forward to the horizon
+    cursor_ = kAfterAll;  // everything due at `until` has fired
   }
   return true;
 }
@@ -211,6 +231,7 @@ bool Simulator::runUntilBefore(SimTime before) {
   }
   if (now_ < before) {
     now_ = before;  // idle forward to the (exclusive) horizon
+    cursor_ = 0;    // nothing due at `before` has fired
   }
   return true;
 }
@@ -224,6 +245,7 @@ bool Simulator::runAll() {
       return false;
     }
   }
+  cursor_ = kAfterAll;
   return true;
 }
 

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -115,6 +116,28 @@ class Simulator {
   void setPostEventHook(Callback hook) { post_hook_ = std::move(hook); }
   bool hasPostEventHook() const { return post_hook_ != nullptr; }
 
+  /// Same-time order key the next scheduleAt()/scheduleAfter() call will
+  /// take. A model that elides events it would otherwise schedule (the
+  /// bus's frame trains, net/ethernet.hpp) keeps this to know where the
+  /// elided events would have sat among equal-time events.
+  std::uint64_t orderMark() const { return next_seq_; }
+  /// True when execution at now() has moved past same-time key `mark`:
+  /// the running event (or, between runs, the last one fired) sorts after
+  /// it, or a run reached its horizon at now() and so fired everything due
+  /// there. False before any event at now() has fired, and after
+  /// runUntilBefore() idles the clock to its exclusive horizon.
+  bool firedPast(std::uint64_t mark) const { return cursor_ > mark; }
+
+  /// Insertion guard: while armed, `fn(at)` runs at the start of every
+  /// schedule call whose time `at` lies in [lo, hi], before the new event
+  /// takes its same-time order key, so an event the guard schedules sorts
+  /// ahead of it at equal times. One guard per simulator. The callback may
+  /// disarm the guard and schedule events; it must not re-arm it.
+  using InsertionGuard = EventFn<void(SimTime)>;
+  void armInsertionGuard(SimTime lo, SimTime hi, InsertionGuard fn);
+  void disarmInsertionGuard();
+  bool insertionGuardArmed() const { return guard_lo_ <= guard_hi_; }
+
   /// Request that the run loop stop after the current event returns.
   ///
   /// Semantics: the flag is *consumed* by the run loop, not reset on entry.
@@ -183,6 +206,12 @@ class Simulator {
   }
 
   EventId scheduleKeyed(SimTime at, std::uint64_t seq_key, Callback cb);
+  /// Runs the insertion guard when `at` falls in its window.
+  void guardInsertion(SimTime at) {
+    if (at.ms() >= guard_lo_ && at.ms() <= guard_hi_) [[unlikely]] {
+      guard_(at);
+    }
+  }
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t idx);
   void heapPush(const HeapEntry& e);
@@ -202,8 +231,17 @@ class Simulator {
     return stop_requested_.exchange(false, std::memory_order_acq_rel);
   }
 
+  /// firedPast() value once a run has fired everything due at now_.
+  static constexpr std::uint64_t kAfterAll = ~0ull;
+
   SimTime now_ = SimTime::zero();
+  /// Same-time key of the event executing (or last executed) at now_, or
+  /// kAfterAll / 0 after a run idles the clock forward (see firedPast()).
+  std::uint64_t cursor_ = 0;
   Callback post_hook_;
+  InsertionGuard guard_;
+  double guard_lo_ = std::numeric_limits<double>::infinity();  // disarmed:
+  double guard_hi_ = -std::numeric_limits<double>::infinity(); // lo > hi
   std::uint64_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
   std::uint64_t events_scheduled_ = 0;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::net {
@@ -365,6 +372,311 @@ TEST(Ethernet, SameNodeHandoffExemptFromFrameFateHook) {
   EXPECT_EQ(net.framesLost(), 0u);
   net.setFrameFateHook(nullptr);
 }
+
+
+// ---- Frame trains vs the per-frame path ------------------------------------
+//
+// A pass-through frame-fate hook (always kDeliver) forces the per-frame path
+// on every grant and changes nothing on the wire. Each script below runs
+// twice, with trains and with that hook armed throughout, and every receipt
+// and every counter read must agree bit for bit.
+
+struct ScriptedSend {
+  double at_ms;
+  std::uint32_t src;
+  std::uint32_t dst;
+  double bytes;
+};
+
+struct Stop {
+  double at_ms;
+  bool exclusive;  ///< runUntilBefore (events at the instant stay pending)
+};
+
+struct Script {
+  EthernetConfig config = wireOnly();
+  std::size_t nics = 2;
+  std::vector<ScriptedSend> sends;
+  /// Reads from events scheduled before any traffic.
+  std::vector<double> probes_ms;
+  /// (plant, at): an event at `plant` schedules a read at `at`, so the read
+  /// is scheduled mid-train (at == plant schedules it with zero delay).
+  std::vector<std::pair<double, double>> planted;
+  /// (plant, send): an event at `plant` schedules a send at `send.at_ms`.
+  std::vector<std::pair<double, ScriptedSend>> planted_sends;
+  /// A lossy hook (loses or duplicates some frames) armed over
+  /// [first, second); outside the windows the train run has no hook.
+  std::vector<std::pair<double, double>> hook_windows;
+  /// Run horizons; the counters are read between runs.
+  std::vector<Stop> stops;
+};
+
+struct Observation {
+  std::vector<std::uint64_t> receipts;  // bit patterns, delivery order
+  std::vector<std::uint64_t> reads;     // bit patterns, read order
+  std::vector<double> frame_ends;       // per-frame run: every frame end
+  std::uint64_t events = 0;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void readCounters(const Ethernet& net, std::size_t nics, Observation& obs) {
+  obs.reads.push_back(bits(net.busyTime().ms()));
+  obs.reads.push_back(net.framesOnWire());
+  obs.reads.push_back(bits(net.payloadBytesCarried()));
+  for (std::uint32_t i = 0; i < nics; ++i) {
+    obs.reads.push_back(bits(net.payloadBytesFrom(ProcessorId{i})));
+  }
+  obs.reads.push_back(net.backloggedMessages());
+  obs.reads.push_back(net.messagesDelivered());
+  obs.reads.push_back(net.framesLost());
+  obs.reads.push_back(net.framesDuplicated());
+}
+
+Observation runScript(const Script& s, bool per_frame) {
+  sim::Simulator sim;
+  Ethernet net(sim, s.nics, s.config);
+  Observation obs;
+  net.setDeliveryObserver([&](const MessageReceipt& r) {
+    obs.receipts.push_back(bits(r.enqueued.ms()));
+    obs.receipts.push_back(bits(r.first_bit.ms()));
+    obs.receipts.push_back(bits(r.delivered.ms()));
+    obs.receipts.push_back(bits(r.payload.count()));
+  });
+  const auto pass = [&obs, &sim, per_frame](const FrameHop&) {
+    if (per_frame) {
+      obs.frame_ends.push_back(sim.now().ms());
+    }
+    return FrameFate::kDeliver;
+  };
+  if (per_frame) {
+    net.setFrameFateHook(pass);
+  }
+  const auto send = [&](const ScriptedSend& m) {
+    sim.scheduleAt(SimTime::millis(m.at_ms), [&net, m] {
+      net.send(Message{ProcessorId{m.src}, ProcessorId{m.dst},
+                       Bytes::of(m.bytes), "m", {}});
+    });
+  };
+  for (const ScriptedSend& m : s.sends) {
+    send(m);
+  }
+  for (const double at : s.probes_ms) {
+    sim.scheduleAt(SimTime::millis(at),
+                   [&] { readCounters(net, s.nics, obs); });
+  }
+  for (const auto& [plant, at] : s.planted) {
+    sim.scheduleAt(SimTime::millis(plant), [&, at = at] {
+      sim.scheduleAt(SimTime::millis(at),
+                     [&] { readCounters(net, s.nics, obs); });
+    });
+  }
+  for (const auto& [plant, m] : s.planted_sends) {
+    sim.scheduleAt(SimTime::millis(plant), [&send, m = m] { send(m); });
+  }
+  // Both runs arm the same lossy hook over the windows; after a window the
+  // per-frame run goes back to the pass-through hook, the train run to none.
+  std::uint64_t decisions = 0;
+  const auto lossy = [&decisions](const FrameHop&) {
+    ++decisions;
+    return decisions % 3 == 0   ? FrameFate::kLose
+           : decisions % 5 == 0 ? FrameFate::kDuplicate
+                                : FrameFate::kDeliver;
+  };
+  for (const auto& [from, until] : s.hook_windows) {
+    sim.scheduleAt(SimTime::millis(from),
+                   [&net, lossy] { net.setFrameFateHook(lossy); });
+    sim.scheduleAt(SimTime::millis(until), [&net, pass, per_frame] {
+      net.setFrameFateHook(per_frame ? Ethernet::FrameFateHook(pass)
+                                     : nullptr);
+    });
+  }
+  for (const Stop& stop : s.stops) {
+    if (stop.exclusive) {
+      sim.runUntilBefore(SimTime::millis(stop.at_ms));
+    } else {
+      sim.runUntil(SimTime::millis(stop.at_ms));
+    }
+    readCounters(net, s.nics, obs);
+  }
+  sim.runAll();
+  readCounters(net, s.nics, obs);
+  obs.events = sim.eventsExecuted();
+  net.setFrameFateHook(nullptr);
+  net.setDeliveryObserver(nullptr);
+  return obs;
+}
+
+/// Frame-end instants of `s` on the per-frame path.
+std::vector<double> frameEnds(const Script& s) {
+  return runScript(s, /*per_frame=*/true).frame_ends;
+}
+
+void expectTrainsMatchPerFrame(const Script& s) {
+  const Observation trains = runScript(s, /*per_frame=*/false);
+  const Observation frames = runScript(s, /*per_frame=*/true);
+  EXPECT_EQ(trains.receipts, frames.receipts);
+  EXPECT_EQ(trains.reads, frames.reads);
+  EXPECT_FALSE(trains.reads.empty());
+  EXPECT_LE(trains.events, frames.events);
+}
+
+/// A lone NIC with a 7-frame message: reads at every frame end (scheduled
+/// before the train, so they tie with a skipped frame end and must see it
+/// still pending), just before and after each, and between runs stopped
+/// exactly on frame ends (inclusive: the end has fired; exclusive: not).
+TEST(EthernetTrain, LoneNicMatchesPerFrameAtEveryBoundary) {
+  Script s;
+  s.sends.push_back({0.0, 0, 1, 9000.5});
+  const std::vector<double> ends = frameEnds(s);
+  ASSERT_EQ(ends.size(), 7u);
+  for (const double t : ends) {
+    s.probes_ms.push_back(t);
+    s.probes_ms.push_back(std::nextafter(t, 0.0));
+    s.probes_ms.push_back(
+        std::nextafter(t, std::numeric_limits<double>::infinity()));
+  }
+  s.stops = {{ends[1], false}, {ends[3], true}, {ends[3], false},
+             {ends[4] + 0.001, false}, {ends[5], true}};
+  expectTrainsMatchPerFrame(s);
+  const Observation trains = runScript(s, false);
+  const Observation frames = runScript(s, true);
+  EXPECT_LT(trains.events, frames.events);  // the train skipped 6 events
+}
+
+/// Events scheduled mid-train exactly at a frame end still ahead: a read
+/// planted far ahead, one planted at the instant with zero delay, and one
+/// at the train's final frame end.
+TEST(EthernetTrain, EventsScheduledAtAFutureFrameEndSplitTheTrain) {
+  Script s;
+  s.sends.push_back({0.0, 0, 1, 12000.0});
+  const std::vector<double> ends = frameEnds(s);
+  ASSERT_EQ(ends.size(), 8u);
+  s.planted = {{ends[0] * 0.5, ends[4]},
+               {ends[2], ends[2]},
+               {ends[5] + 0.001, ends[7]}};
+  expectTrainsMatchPerFrame(s);
+}
+
+/// A second NIC becomes wire-eligible mid-frame, exactly at a skipped frame
+/// end (scheduled before the train: it wins the grant there), and exactly
+/// at a frame end by a send planted mid-train.
+TEST(EthernetTrain, SecondNicMidTrainAndAtABoundary) {
+  Script base;
+  base.nics = 3;
+  base.sends.push_back({0.0, 0, 1, 15000.0});
+  const std::vector<double> ends = frameEnds(base);
+  ASSERT_EQ(ends.size(), 10u);
+  for (const double at : {ends[2] + 0.01, ends[3], ends[9]}) {
+    Script s = base;
+    s.sends.push_back({at, 1, 2, 3000.0});
+    s.probes_ms = {ends[3], ends[4], ends[6]};
+    expectTrainsMatchPerFrame(s);
+  }
+  Script planted = base;
+  planted.planted_sends.push_back({ends[1] + 0.002, {ends[5], 2, 0, 4500.0}});
+  planted.probes_ms = {ends[5], ends[6]};
+  expectTrainsMatchPerFrame(planted);
+}
+
+/// Zero-byte, sub-MTU, exact-MTU, exact multiples and MTU + 1, back to back
+/// on one NIC (queued behind a train, no split) and against a second NIC.
+TEST(EthernetTrain, PayloadEdgeCasesAndSameNicQueueing) {
+  Script s;
+  s.nics = 3;
+  const double sizes[] = {0.0, 100.0, 1500.0, 1501.0, 3000.0, 4499.25};
+  double at = 0.0;
+  for (const double b : sizes) {
+    s.sends.push_back({at, 0, 1, b});
+    at += 0.05;
+  }
+  s.sends.push_back({0.2, 2, 1, 3000.0});
+  s.sends.push_back({0.21, 2, 0, 1500.0});
+  s.probes_ms = {0.1, 0.3, 0.5, 0.7};
+  expectTrainsMatchPerFrame(s);
+  s.config = EthernetConfig{};  // marshalling and propagation on
+  expectTrainsMatchPerFrame(s);
+}
+
+/// A hook armed mid-train splits it, so it decides the fate of the frame in
+/// flight onward; clearing it lets the next grant start a new train (for the
+/// rest of the same message).
+TEST(EthernetTrain, HookSetAndClearedMidTrain) {
+  Script s;
+  s.sends.push_back({0.0, 0, 1, 30000.0});
+  const std::vector<double> ends = frameEnds(s);
+  ASSERT_EQ(ends.size(), 20u);
+  s.hook_windows = {{ends[3] + 0.01, ends[6] + 0.01}, {ends[10], ends[12]}};
+  s.probes_ms = {ends[5], ends[8], ends[11], ends[15]};
+  expectTrainsMatchPerFrame(s);
+}
+
+/// Random multi-NIC traffic under both configs, with reads at random
+/// instants and at exact frame ends, planted reads and sends, hook windows
+/// and run horizons on frame ends.
+class EthernetTrainRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EthernetTrainRandom, TrainsMatchPerFrameBitForBit) {
+  Xoshiro256 rng(GetParam());
+  Script s;
+  if (GetParam() % 2 == 1) {
+    s.config = EthernetConfig{};
+  }
+  s.nics = static_cast<std::size_t>(rng.uniformInt(1, 5)) + 1;
+  const double mtu = s.config.mtu.count();
+  const auto nic = [&] {
+    return static_cast<std::uint32_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(s.nics) - 1));
+  };
+  const auto payload = [&] {
+    switch (rng.uniformInt(0, 5)) {
+      case 0: return 0.0;
+      case 1: return rng.uniform(1.0, mtu);
+      case 2: return mtu * static_cast<double>(rng.uniformInt(1, 4));
+      case 3: return rng.uniform(mtu, 8.0 * mtu);
+      default: return rng.uniform(8.0 * mtu, 60.0 * mtu);
+    }
+  };
+  const int messages = static_cast<int>(rng.uniformInt(8, 30));
+  for (int i = 0; i < messages; ++i) {
+    s.sends.push_back({rng.uniform(0.0, 20.0), nic(), nic(), payload()});
+  }
+  const std::vector<double> ends = frameEnds(s);
+  ASSERT_FALSE(ends.empty());
+  const auto anyEnd = [&] {
+    return ends[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(ends.size()) - 1))];
+  };
+  const double horizon = ends.back();
+  for (int i = 0; i < 40; ++i) {
+    s.probes_ms.push_back(i % 2 == 0 ? anyEnd() : rng.uniform(0.0, horizon));
+  }
+  for (int i = 0; i < 10; ++i) {
+    const double at = anyEnd();
+    s.planted.push_back({rng.uniform(0.0, at), at});
+  }
+  for (int i = 0; i < 3; ++i) {
+    const double at = anyEnd();
+    s.planted_sends.push_back(
+        {rng.uniform(0.0, at), {at, nic(), nic(), payload()}});
+  }
+  for (int i = 0; i < 2; ++i) {
+    const double from = rng.uniform(0.0, horizon);
+    s.hook_windows.push_back({from, from + rng.uniform(0.0, 2.0)});
+  }
+  std::vector<double> stops;
+  for (int i = 0; i < 6; ++i) {
+    stops.push_back(anyEnd());
+  }
+  std::sort(stops.begin(), stops.end());
+  for (std::size_t i = 0; i < stops.size(); ++i) {
+    s.stops.push_back({stops[i], i % 2 == 0});
+  }
+  expectTrainsMatchPerFrame(s);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EthernetTrainRandom,
+                         ::testing::Range<std::uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace rtdrm::net
