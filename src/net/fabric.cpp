@@ -72,7 +72,8 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
   }
   hosts_of_seg_.resize(s_count);
   for (std::size_t h = 0; h < n; ++h) {
-    hosts_of_seg_[seg_of_host_[h]].push_back(ProcessorId{h});
+    hosts_of_seg_[seg_of_host_[h]].push_back(
+        ProcessorId{static_cast<std::uint32_t>(h)});
   }
 
   // Switch graph adjacency (ascending => deterministic trunk port order).
@@ -161,7 +162,8 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
         static_cast<std::uint32_t>(neighbors_[s].size());
     const auto& local = hosts_of_seg_[s];
     const std::uint32_t j = static_cast<std::uint32_t>(
-        std::find(local.begin(), local.end(), ProcessorId{h}) -
+        std::find(local.begin(), local.end(),
+                  ProcessorId{static_cast<std::uint32_t>(h)}) -
         local.begin());
     uplink_of_host_[h] = links_.size();
     // Host uplinks are never tail-dropped: the bound models switch
