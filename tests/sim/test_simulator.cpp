@@ -226,5 +226,48 @@ TEST(PeriodicActivity, StopIsIdempotent) {
   EXPECT_FALSE(act.running());
 }
 
+
+// The execution cursor: at equal times, firedPast(mark) tells whether the
+// running event (or, between runs, the run's horizon) sorts after `mark`.
+TEST(Simulator, FiredPastTracksSameTimeOrder) {
+  Simulator sim;
+  const SimTime t = SimTime::millis(2.0);
+  sim.scheduleAt(t, [&] {});
+  const std::uint64_t mark = sim.orderMark();
+  std::vector<bool> seen;
+  sim.scheduleAt(t, [&] { seen.push_back(sim.firedPast(mark)); });
+  sim.scheduleAt(t, [&] { seen.push_back(sim.firedPast(mark)); });
+  sim.runUntilBefore(t);  // exclusive horizon: nothing at t has fired
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_FALSE(sim.firedPast(mark));
+  sim.step();  // the event scheduled before the mark
+  EXPECT_FALSE(sim.firedPast(mark));
+  sim.runUntil(t);  // inclusive horizon: everything at t has fired
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(sim.firedPast(mark));
+}
+
+// The insertion guard runs before the new event takes its order key, so an
+// event it schedules at the same time fires first; disarming closes it.
+TEST(Simulator, InsertionGuardRunsBeforeTheKeyIsTaken) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<double> guarded;
+  sim.armInsertionGuard(SimTime::millis(1.0), SimTime::millis(3.0),
+                        [&](SimTime at) {
+                          guarded.push_back(at.ms());
+                          sim.disarmInsertionGuard();
+                          sim.scheduleAt(at, [&] { order.push_back(1); });
+                        });
+  EXPECT_TRUE(sim.insertionGuardArmed());
+  sim.scheduleAt(SimTime::millis(0.5), [&] { order.push_back(0); });
+  sim.scheduleAt(SimTime::millis(2.0), [&] { order.push_back(2); });
+  EXPECT_FALSE(sim.insertionGuardArmed());
+  sim.scheduleAt(SimTime::millis(2.0), [&] { order.push_back(3); });
+  sim.runAll();
+  EXPECT_EQ(guarded, (std::vector<double>{2.0}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 }  // namespace
 }  // namespace rtdrm::sim
