@@ -143,15 +143,20 @@ bool Ethernet::startTrain(std::size_t nic) {
     return false;
   }
   // The per-frame path's frame ends, with its own double additions: each
-  // frame is scheduled at (previous end) + frameTime(remaining).
+  // frame is scheduled at (previous end) + frameTime(remaining). Every
+  // frame but the last carries exactly one MTU, so its wire time is the
+  // full frame's.
   train_.ends.clear();
+  const SimDuration full = frameTime(config_.mtu);
   SimTime end = sim_.now();
   Bytes left = remaining;
-  do {
-    end = end + frameTime(left);
+  while (left > config_.mtu) {
+    end = end + full;
     train_.ends.push_back(end);
-    left = left - frameChunk(left);
-  } while (left > Bytes::zero());
+    left = left - config_.mtu;
+  }
+  end = end + frameTime(left);
+  train_.ends.push_back(end);
 
   train_.active = true;
   train_.nic = nic;
@@ -176,27 +181,46 @@ void Ethernet::catchUp() const {
   // therefore sorts right after the train's own key: it has passed iff
   // execution at now() has moved past that key.
   const SimTime now = sim_.now();
+  const bool past_mark = sim_.firedPast(train_.mark);
   const std::size_t last = train_.ends.size() - 1;
-  while (train_.passed < last) {
-    const SimTime end = train_.ends[train_.passed];
-    if (end > now || (end == now && !sim_.firedPast(train_.mark))) {
-      return;
+  std::size_t upto = train_.passed;
+  while (upto < last) {
+    const SimTime end = train_.ends[upto];
+    if (end > now || (end == now && !past_mark)) {
+      break;
     }
-    passFrameEnd();
+    ++upto;
   }
+  passFrameEnds(upto);
 }
 
-void Ethernet::passFrameEnd() const {
-  const SimTime end = train_.ends[train_.passed++];
-  // onFrameEnd() for a delivered, non-final frame...
-  busy_accum_ += end - busy_since_;
-  const Bytes chunk = frameChunk(train_.remaining);
-  train_.remaining = train_.remaining - chunk;
-  payload_bytes_ += chunk.count();
-  payload_bytes_from_[train_.nic] += chunk.count();
-  // ...then arbitrate() granting the next frame to the same NIC.
-  busy_since_ = end;
-  ++frames_;
+void Ethernet::passFrameEnds(std::size_t upto) const {
+  if (upto == train_.passed) {
+    return;
+  }
+  SimDuration busy = busy_accum_;
+  SimTime since = busy_since_;
+  Bytes remaining = train_.remaining;
+  double payload = payload_bytes_;
+  double from = payload_bytes_from_[train_.nic];
+  const double mtu = config_.mtu.count();
+  for (std::size_t i = train_.passed; i < upto; ++i) {
+    const SimTime end = train_.ends[i];
+    // onFrameEnd() for a delivered full frame...
+    busy += end - since;
+    remaining = remaining - config_.mtu;
+    payload += mtu;
+    from += mtu;
+    // ...then arbitrate() granting the next frame to the same NIC.
+    since = end;
+  }
+  busy_accum_ = busy;
+  busy_since_ = since;
+  train_.remaining = remaining;
+  payload_bytes_ = payload;
+  payload_bytes_from_[train_.nic] = from;
+  frames_ += upto - train_.passed;
+  train_.passed = upto;
 }
 
 void Ethernet::splitTrain() {
@@ -214,9 +238,7 @@ void Ethernet::splitTrain() {
 
 void Ethernet::onTrainEnd() {
   sim_.disarmInsertionGuard();
-  while (train_.passed + 1 < train_.ends.size()) {
-    passFrameEnd();
-  }
+  passFrameEnds(train_.ends.size() - 1);
   train_.active = false;
   nics_[train_.nic].front().remaining = train_.remaining;
   onFrameEnd(train_.nic);

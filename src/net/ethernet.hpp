@@ -174,9 +174,10 @@ class Ethernet final : public NetworkModel {
   /// Applies, in order, every skipped frame end that precedes the current
   /// execution position. Const because reads catch up before answering.
   void catchUp() const;
-  /// Applies the next skipped frame end: the per-frame path's onFrameEnd
-  /// for a delivered non-final frame, then its re-grant to the same NIC.
-  void passFrameEnd() const;
+  /// Applies the skipped frame ends before ends[upto], in order: the
+  /// per-frame path's onFrameEnd for each delivered full frame, then its
+  /// re-grant to the same NIC, in one pass over locals.
+  void passFrameEnds(std::size_t upto) const;
   /// Ends the train at the current position: the frame in flight gets its
   /// real per-frame end event and the bus is per-frame again.
   void splitTrain();

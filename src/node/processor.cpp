@@ -23,6 +23,12 @@ Processor::Processor(sim::Simulator& simulator, ProcessorId id,
   policy_ = makeSchedulerPolicy(config_.policy);
 }
 
+Processor::~Processor() {
+  if (deferred_) {
+    sim_.undefer(deferred_id_);  // its callback points at this processor
+  }
+}
+
 SchedContext Processor::schedContext() const {
   SchedContext ctx;
   ctx.now = sim_.now();
@@ -37,6 +43,7 @@ SchedContext Processor::schedContext() const {
 
 JobId Processor::submit(Job job) {
   RTDRM_ASSERT(job.demand >= SimDuration::zero());
+  applyDueCompletion();
   if (!up_) {
     ++jobs_rejected_;
     return kNoJob;
@@ -50,6 +57,7 @@ void Processor::submitReserved(JobId id, Job job) {
   RTDRM_ASSERT(job.demand >= SimDuration::zero());
   RTDRM_ASSERT_MSG((id.value & kReservedBit) != 0,
                    "submitReserved needs an id from reserveJobId()");
+  applyDueCompletion();
   if (!up_) {
     ++jobs_rejected_;  // dropped like submit(): on_complete never fires
     return;
@@ -79,10 +87,17 @@ void Processor::admit(JobId id, Job job) {
     // settle the consumed span and decide afresh.
     settleRunningStretch();
     dispatch();
+  } else if (deferred_) {
+    // The stretch still runs to its end, but its job is no longer alone:
+    // the end event it elided is due after all, under its own key.
+    dropDeferral();
+    stretch_event_ = sim_.scheduleReserved(stretch_end_, deferred_key_,
+                                           [this] { onStretchEnd(); });
   }
 }
 
 bool Processor::abort(JobId id) {
+  applyDueCompletion();
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->id != id) {
       continue;
@@ -102,6 +117,7 @@ bool Processor::abort(JobId id) {
 }
 
 void Processor::setUp(bool up) {
+  applyDueCompletion();
   if (up == up_) {
     return;
   }
@@ -120,6 +136,7 @@ void Processor::setUp(bool up) {
 
 void Processor::setSpeedFactor(double factor) {
   RTDRM_ASSERT(factor > 0.0);
+  applyDueCompletion();
   if (factor == speed_factor_) {
     return;
   }
@@ -140,6 +157,7 @@ void Processor::setSpeedFactor(double factor) {
 }
 
 SimDuration Processor::busyTime() const {
+  applyDueCompletion();
   if (!running_) {
     return busy_accum_;
   }
@@ -174,20 +192,43 @@ void Processor::dispatch() {
   resume_cs_ = SimDuration::zero();
   stretch_len_ = service + stretch_cs_;
   stretch_start_ = sim_.now();
+  stretch_end_ = stretch_start_ + stretch_len_;
   running_ = true;
-  stretch_event_ =
-      sim_.scheduleAfter(stretch_len_, [this] { onStretchEnd(); });
+  // A lone job without a callback that this stretch completes, by
+  // onStretchEnd()'s own test and arithmetic, ends unobserved: defer it.
+  if (queue_.size() == 1 && !head.job.on_complete &&
+      (head.remaining - (stretch_len_ - stretch_cs_)).ms() <=
+          kResidualEpsMs) {
+    deferred_key_ = sim_.reserveOrderKey(stretch_end_);
+    deferred_id_ = sim_.defer(stretch_end_, deferred_key_,
+                              [this] { completeDeferred(); });
+    deferred_ = true;
+    return;
+  }
+  stretch_event_ = sim_.scheduleAt(stretch_end_, [this] { onStretchEnd(); });
 }
 
-void Processor::onStretchEnd() {
-  RTDRM_ASSERT(running_ && !queue_.empty());
+SimDuration Processor::chargeFullStretch() const {
   busy_accum_ += stretch_len_;
   const SimDuration service = stretch_len_ - stretch_cs_;
   served_accum_ += service;
   overhead_accum_ += stretch_cs_;
-  Resident& head = queue_.front();
-  head.remaining -= service;
   running_ = false;
+  return service;
+}
+
+void Processor::completeDeferred() const {
+  RTDRM_ASSERT(running_ && queue_.size() == 1);
+  deferred_ = false;
+  chargeFullStretch();
+  queue_.pop_front();
+  ++jobs_completed_;
+}
+
+void Processor::onStretchEnd() {
+  RTDRM_ASSERT(running_ && !queue_.empty());
+  Resident& head = queue_.front();
+  head.remaining -= chargeFullStretch();
 
   if (head.remaining.ms() <= kResidualEpsMs) {
     Job done = std::move(head.job);
@@ -229,7 +270,11 @@ void Processor::settleRunningStretch() {
   // next dispatch resumes it, continuing is not a new dispatch boundary.
   resume_id_ = queue_.front().id;
   resume_cs_ = stretch_cs_ - cs_consumed;
-  sim_.cancel(stretch_event_);
+  if (deferred_) {
+    dropDeferral();
+  } else {
+    sim_.cancel(stretch_event_);
+  }
   running_ = false;
 }
 

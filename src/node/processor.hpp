@@ -12,6 +12,17 @@
 // events are only generated under contention. An arrival during a stretch
 // truncates it and falls back to quantum-granular scheduling, so observable
 // behaviour is identical to naive per-quantum simulation.
+//
+// Deferred completions: a stretch that completes its job, where that job
+// is the only resident and has no on_complete, schedules no event at all.
+// It takes the order key its end event would have taken
+// (Simulator::reserveOrderKey) and the completion is applied when the
+// processor is next touched: every entry point and every read first
+// applies a completion that is due by the kernel's tie rule
+// (Simulator::passed). A job admitted behind it without preempting turns
+// it into a real end event under the same key; a stretch settled early
+// just drops it. So every call sees the state the end event would have
+// left, bit for bit. See docs/architecture.md, "Deferred completions".
 #pragma once
 
 #include <atomic>
@@ -58,6 +69,7 @@ class Processor {
 
   Processor(sim::Simulator& simulator, ProcessorId id,
             ProcessorConfig config = {});
+  ~Processor();
   Processor(const Processor&) = delete;
   Processor& operator=(const Processor&) = delete;
 
@@ -106,19 +118,26 @@ class Processor {
   double speedFactor() const { return speed_factor_; }
 
   /// Number of jobs resident (queued + running).
-  std::size_t residentJobs() const { return queue_.size(); }
-  bool busy() const { return running_; }
+  std::size_t residentJobs() const {
+    applyDueCompletion();
+    return queue_.size();
+  }
+  bool busy() const {
+    applyDueCompletion();
+    return running_;
+  }
 
   /// Cumulative CPU busy time since construction (monotone). Utilization
   /// over a window is the caller's delta(busy) / delta(now) — see
   /// UtilizationProbe.
   ///
   /// Accounting invariant (audited, no double-count): busy_accum_ advances
-  /// ONLY when a stretch terminates — onStretchEnd adds the full stretch
-  /// length, settleRunningStretch adds the elapsed span — and every
-  /// termination path clears running_ first. While a stretch is in flight
-  /// this adds the elapsed span exactly once on top of an accumulator that
-  /// does not yet include any of it. At all times
+  /// ONLY when a stretch terminates — chargeFullStretch adds the full
+  /// stretch length at its end (evented or deferred), settleRunningStretch
+  /// adds the elapsed span — and every termination path clears running_.
+  /// While a stretch is in flight this adds the elapsed span exactly once
+  /// on top of an accumulator that does not yet include any of it. At all
+  /// times
   ///   busyTime() == demandServed() + schedOverhead() + in-flight span,
   /// the conservation law the check/ oracle sweeps (policy-agnostic: no
   /// scheduling discipline can create or destroy CPU time).
@@ -126,12 +145,24 @@ class Processor {
 
   /// Cumulative pure service time charged to jobs (updated at stretch
   /// boundaries; excludes context-switch overhead and any in-flight span).
-  SimDuration demandServed() const { return served_accum_; }
+  SimDuration demandServed() const {
+    applyDueCompletion();
+    return served_accum_;
+  }
   /// Cumulative context-switch overhead charged (same update points).
-  SimDuration schedOverhead() const { return overhead_accum_; }
+  SimDuration schedOverhead() const {
+    applyDueCompletion();
+    return overhead_accum_;
+  }
 
-  std::uint64_t jobsCompleted() const { return jobs_completed_; }
-  std::uint64_t jobsAborted() const { return jobs_aborted_; }
+  std::uint64_t jobsCompleted() const {
+    applyDueCompletion();
+    return jobs_completed_;
+  }
+  std::uint64_t jobsAborted() const {
+    applyDueCompletion();
+    return jobs_aborted_;
+  }
   /// Jobs dropped because they were submitted while the node was down.
   std::uint64_t jobsRejected() const { return jobs_rejected_; }
 
@@ -145,6 +176,27 @@ class Processor {
   void dispatch();
   /// End of the current service stretch (quantum or run-to-completion).
   void onStretchEnd();
+  /// Charges the whole current stretch (it ran to its end) and returns the
+  /// service it gave the head. Const because reads apply deferred
+  /// completions through it.
+  SimDuration chargeFullStretch() const;
+  /// Applies the deferred completion if execution has passed its order
+  /// key (see the file comment).
+  void applyDueCompletion() const {
+    if (deferred_ && sim_.passed(stretch_end_, deferred_key_)) {
+      sim_.undefer(deferred_id_);
+      completeDeferred();
+    }
+  }
+  /// onStretchEnd() for the lone, callback-free job the stretch completes:
+  /// no callback fires and nothing is left to dispatch.
+  void completeDeferred() const;
+  /// Drops the deferral: the stretch is settled early, or it becomes a
+  /// real end event.
+  void dropDeferral() const {
+    sim_.undefer(deferred_id_);
+    deferred_ = false;
+  }
   /// Accounts CPU time consumed by the in-flight stretch up to now. The
   /// unconsumed part of the stretch's context-switch charge is banked as a
   /// resume credit: if the very same job is dispatched next it only owes
@@ -158,27 +210,36 @@ class Processor {
   ProcessorConfig config_;
   std::unique_ptr<SchedulerPolicy> policy_;
 
-  std::deque<Resident> queue_;
+  // The members marked `mutable` are so only that reads can apply a due
+  // deferred completion before answering (applyDueCompletion()).
+  mutable std::deque<Resident> queue_;
   bool up_ = true;
   double speed_factor_ = 1.0;
-  bool running_ = false;
+  mutable bool running_ = false;
   SimTime stretch_start_ = SimTime::zero();
   SimDuration stretch_len_ = SimDuration::zero();
   /// Context-switch charge included in stretch_len_ (may be less than
   /// config_.context_switch when resuming a settled stretch).
   SimDuration stretch_cs_ = SimDuration::zero();
+  /// stretch_start_ + stretch_len_: where the stretch's end event sits.
+  SimTime stretch_end_ = SimTime::zero();
   sim::EventId stretch_event_{};
+  /// The running stretch's completion is deferred instead of evented,
+  /// under the order key its end event would have had.
+  mutable bool deferred_ = false;
+  std::uint64_t deferred_key_ = 0;
+  sim::Simulator::DeferredId deferred_id_ = 0;
   /// Resume credit from the last settle: the job it belongs to and the
   /// context-switch residue it still owes.
   JobId resume_id_ = kNoJob;
   SimDuration resume_cs_ = SimDuration::zero();
 
-  SimDuration busy_accum_ = SimDuration::zero();
-  SimDuration served_accum_ = SimDuration::zero();
-  SimDuration overhead_accum_ = SimDuration::zero();
+  mutable SimDuration busy_accum_ = SimDuration::zero();
+  mutable SimDuration served_accum_ = SimDuration::zero();
+  mutable SimDuration overhead_accum_ = SimDuration::zero();
   std::uint64_t next_job_ = 1;
   std::atomic<std::uint64_t> reserved_ids_{1};
-  std::uint64_t jobs_completed_ = 0;
+  mutable std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_aborted_ = 0;
   std::uint64_t jobs_rejected_ = 0;
 };

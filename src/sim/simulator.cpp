@@ -240,29 +240,102 @@ bool Simulator::runAll() {
   if (consumeStop()) {
     return false;
   }
-  while (!heap_.empty()) {
-    if (fireHead() && consumeStop()) {
-      return false;
+  for (;;) {
+    while (!heap_.empty()) {
+      if (fireHead() && consumeStop()) {
+        return false;
+      }
     }
+    // Drained: the deferred events left are the run's last events. Those
+    // already passed apply where the clock stands; the rest move it.
+    const std::uint32_t next = earliestDeferred();
+    if (next == kNoSlot) {
+      break;
+    }
+    fireDeferred(next);
   }
   cursor_ = kAfterAll;
   return true;
 }
 
-bool Simulator::peekNextEvent(SimTime* out) {
-  // Drop stale (cancelled) heads so the reported time is the next event
-  // that would actually fire — a stale upper bound would make the sharded
-  // engine open windows around events that no longer exist.
+bool Simulator::pruneStaleHead() {
   while (!heap_.empty()) {
     const HeapEntry& e = heap_[0];
     if (slots_[e.slot].generation == e.generation) {
-      *out = SimTime::millis(e.time_ms);
       return true;
     }
     heapPopHead();
     --stale_;
   }
   return false;
+}
+
+bool Simulator::peekNextEvent(SimTime* out) {
+  // Drop stale (cancelled) heads so the reported time is the next event
+  // that would actually fire — a stale upper bound would make the sharded
+  // engine open windows around events that no longer exist.
+  if (!pruneStaleHead()) {
+    return false;
+  }
+  *out = SimTime::millis(heap_[0].time_ms);
+  return true;
+}
+
+Simulator::DeferredId Simulator::defer(SimTime at, std::uint64_t key,
+                                       Callback apply) {
+  RTDRM_ASSERT(apply != nullptr);
+  std::uint32_t idx = deferred_free_;
+  if (idx != kNoSlot) {
+    deferred_free_ = deferred_[idx].next_free;
+  } else {
+    RTDRM_ASSERT_MSG(deferred_.size() < kNoSlot, "deferred slab exhausted");
+    idx = static_cast<std::uint32_t>(deferred_.size());
+    deferred_.emplace_back();
+  }
+  DeferredSlot& d = deferred_[idx];
+  d.at_ms = at.ms();
+  d.key = key;
+  d.apply = std::move(apply);
+  return idx;
+}
+
+void Simulator::undefer(DeferredId id) {
+  RTDRM_ASSERT(id < deferred_.size() && deferred_[id].apply != nullptr);
+  releaseDeferred(id);
+}
+
+void Simulator::releaseDeferred(std::uint32_t idx) {
+  DeferredSlot& d = deferred_[idx];
+  d.apply = nullptr;
+  d.next_free = deferred_free_;
+  deferred_free_ = idx;
+}
+
+std::uint32_t Simulator::earliestDeferred() const {
+  std::uint32_t best = kNoSlot;
+  for (std::uint32_t i = 0; i < deferred_.size(); ++i) {
+    const DeferredSlot& d = deferred_[i];
+    if (d.apply == nullptr) {
+      continue;
+    }
+    if (best == kNoSlot || d.at_ms < deferred_[best].at_ms ||
+        (d.at_ms == deferred_[best].at_ms && d.key < deferred_[best].key)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+void Simulator::fireDeferred(std::uint32_t idx) {
+  DeferredSlot& d = deferred_[idx];
+  const SimTime at = SimTime::millis(d.at_ms);
+  if (!passed(at, d.key)) {
+    now_ = at;
+    cursor_ = d.key;
+  }
+  Callback apply = std::move(d.apply);
+  releaseDeferred(idx);  // before applying, like a fired event's slot
+  apply();
 }
 
 void Simulator::exportMetrics(obs::MetricsRegistry& reg) const {
@@ -275,13 +348,24 @@ void Simulator::exportMetrics(obs::MetricsRegistry& reg) const {
 }
 
 bool Simulator::step() {
-  // Skip over stale entries so "step" always means "execute one live event".
-  while (!heap_.empty()) {
-    if (fireHead()) {
+  // "Step" means "execute one live event": skip stale entries, and apply
+  // deferred events an earlier run has passed without counting them.
+  std::uint32_t next = earliestDeferred();
+  while (next != kNoSlot &&
+         passed(SimTime::millis(deferred_[next].at_ms), deferred_[next].key)) {
+    fireDeferred(next);
+    next = earliestDeferred();
+  }
+  const bool have_event = pruneStaleHead();
+  if (next != kNoSlot) {
+    const DeferredSlot& d = deferred_[next];
+    if (!have_event || d.at_ms < heap_[0].time_ms ||
+        (d.at_ms == heap_[0].time_ms && d.key < heap_[0].seq)) {
+      fireDeferred(next);
       return true;
     }
   }
-  return false;
+  return have_event && fireHead();
 }
 
 PeriodicActivity::PeriodicActivity(Simulator& simulator, SimDuration period,

@@ -99,15 +99,22 @@ class Simulator {
   /// A `before` at or behind the clock fires nothing and keeps the clock.
   bool runUntilBefore(SimTime before);
   /// Run until the queue is completely empty. Returns false when stopped.
+  /// Deferred events count as events here: a run whose last event is a
+  /// deferred one ends with the clock at its time.
   bool runAll();
   /// Execute the single next event, if any. Returns false when queue empty.
   /// Unaffected by requestStop(): step() is already a single-event run.
+  /// Deferred events take their turn in (time, key) order like the events
+  /// they replace; one that a run has already passed is applied on the
+  /// way without counting as the step.
   bool step();
 
   /// Time of the next live event without executing it; false when the
   /// calendar is empty. Prunes stale (cancelled) heads as a side effect,
   /// so the answer is exact, not an upper bound. The sharded engine sizes
-  /// its barrier windows with this.
+  /// its barrier windows with this. Deferred events are not reported:
+  /// they change only the state of the model that deferred them, which
+  /// lives on this calendar, so no other shard can observe them.
   bool peekNextEvent(SimTime* out);
 
   /// Installs a hook invoked after every executed event's callback returns
@@ -127,6 +134,40 @@ class Simulator {
   /// there. False before any event at now() has fired, and after
   /// runUntilBefore() idles the clock to its exclusive horizon.
   bool firedPast(std::uint64_t mark) const { return cursor_ > mark; }
+  /// True when an event at `at` with same-time key `key` would already
+  /// have fired: it lies before now(), or at now() behind the execution
+  /// position.
+  bool passed(SimTime at, std::uint64_t key) const {
+    return at < now_ || (at == now_ && firedPast(key));
+  }
+
+  /// Takes the same-time order key that scheduleAt(at, ...) would take
+  /// now, insertion guard included, without scheduling anything. A model
+  /// that elides an event nobody can observe (the processor's deferred
+  /// completions, node/processor.hpp) applies the event's effect once
+  /// passed(at, key) holds, or schedules it after all with
+  /// scheduleReserved().
+  std::uint64_t reserveOrderKey(SimTime at) {
+    guardInsertion(at);
+    return next_seq_++;
+  }
+  /// Schedules `cb` at `at` under a key from reserveOrderKey(). The guard
+  /// does not run again: the key's place among equal-time events was fixed
+  /// when it was taken, before any train that could tie with it started.
+  EventId scheduleReserved(SimTime at, std::uint64_t key, Callback cb) {
+    return scheduleKeyed(at, key, std::move(cb));
+  }
+
+  /// Deferred events: an elided event registered under the time and key
+  /// it would have had, with the callback that applies it. The model
+  /// applies it itself (and undefers it) when it is next touched;
+  /// runAll() and step() apply what is left, so they run and end exactly
+  /// as with the real event. runUntil() never looks here, and neither the
+  /// post-event hook nor eventsExecuted() sees a deferred event. O(1)
+  /// register and unregister.
+  using DeferredId = std::uint32_t;
+  DeferredId defer(SimTime at, std::uint64_t key, Callback apply);
+  void undefer(DeferredId id);
 
   /// Insertion guard: while armed, `fn(at)` runs at the start of every
   /// schedule call whose time `at` lies in [lo, hi], before the new event
@@ -222,6 +263,21 @@ class Simulator {
   /// Pops the head entry; executes it unless stale. Returns true when a
   /// live event ran. Pre: heap non-empty.
   bool fireHead();
+  /// Drops stale (cancelled) heads; false when the heap runs empty.
+  bool pruneStaleHead();
+
+  struct DeferredSlot {
+    double at_ms = 0.0;
+    std::uint64_t key = 0;
+    Callback apply;  // empty while the slot is free
+    std::uint32_t next_free = kNoSlot;
+  };
+  void releaseDeferred(std::uint32_t idx);
+  /// Earliest registered deferred event by (time, key), or kNoSlot.
+  std::uint32_t earliestDeferred() const;
+  /// Applies deferred slot `idx`, first moving the clock and the cursor to
+  /// it unless execution has already passed it.
+  void fireDeferred(std::uint32_t idx);
   /// Consumes a pending stop request; returns true if one was pending.
   bool consumeStop() {
     // Cheap fast path: loads dodge the RMW until a stop is actually seen.
@@ -254,6 +310,9 @@ class Simulator {
   std::vector<HeapEntry> heap_;       // 4-ary min-heap by (time, seq)
   std::size_t live_ = 0;              // scheduled and not cancelled
   std::size_t stale_ = 0;             // cancelled entries still in heap_
+
+  std::vector<DeferredSlot> deferred_;     // slab; index == DeferredId
+  std::uint32_t deferred_free_ = kNoSlot;  // head of the freed-slot list
 };
 
 /// A recurring activity: reschedules itself every `period` until stopped.
