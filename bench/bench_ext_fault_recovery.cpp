@@ -132,7 +132,7 @@ ModeResult runFaultEpisode(const task::TaskSpec& spec,
   std::unique_ptr<fault::FaultInjector> injector;
   if (mode != FaultMode::kNone) {
     injector = std::make_unique<fault::FaultInjector>(
-        scenario.sim(), scenario.cluster(), &scenario.ethernet(),
+        scenario.sim(), scenario.cluster(), &scenario.net(),
         &scenario.clocks(), plan);
     injector->arm();
   }
@@ -142,7 +142,7 @@ ModeResult runFaultEpisode(const task::TaskSpec& spec,
   std::unique_ptr<fault::FailureDetector> detector;
   if (mode == FaultMode::kFailover) {
     detector = std::make_unique<fault::FailureDetector>(
-        scenario.sim(), scenario.cluster(), scenario.ethernet(),
+        scenario.sim(), scenario.cluster(), scenario.net(),
         fault::DetectorConfig{},
         [&](ProcessorId p) {
           if (scenario.cluster().isUp(p)) {

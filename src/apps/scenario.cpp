@@ -14,12 +14,6 @@ std::unique_ptr<net::NetworkModel> Scenario::makeNet(
                                          config.ethernet);
 }
 
-net::Ethernet& Scenario::ethernet() {
-  RTDRM_ASSERT_MSG(config_.net_kind == net::NetKind::kBus,
-                   "ethernet() on a switched-fabric scenario; use net()");
-  return static_cast<net::Ethernet&>(*net_);
-}
-
 net::SwitchedFabric& Scenario::fabric() {
   RTDRM_ASSERT_MSG(config_.net_kind == net::NetKind::kSwitched,
                    "fabric() on a shared-bus scenario; use net()");

@@ -76,9 +76,6 @@ class Scenario {
   node::Cluster& cluster() { return cluster_; }
   /// The network substrate, whichever kind the config selected.
   net::NetworkModel& net() { return *net_; }
-  /// The shared bus — only valid when net_kind == kBus (asserted). Kept
-  /// for the many tests and tools that program against bus specifics.
-  net::Ethernet& ethernet();
   /// The switched fabric — only valid when net_kind == kSwitched.
   net::SwitchedFabric& fabric();
   net::ClockFabric& clocks() { return clocks_; }

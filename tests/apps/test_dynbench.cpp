@@ -90,7 +90,7 @@ TEST(Scenario, WiresTable1Defaults) {
   Scenario scenario(cfg);
   EXPECT_EQ(scenario.cluster().size(), 6u);
   EXPECT_TRUE(scenario.cluster().hasBackgroundLoad());
-  EXPECT_EQ(scenario.ethernet().config().rate, BitRate::mbps(100.0));
+  EXPECT_EQ(scenario.config().ethernet.rate, BitRate::mbps(100.0));
   // Ambient load generators are armed.
   EXPECT_GT(scenario.cluster().backgroundLoad(ProcessorId{0}).target().value(),
             0.0);
