@@ -9,6 +9,26 @@
 
 namespace rtdrm::core {
 
+namespace {
+
+/// True when making `decided` effective would put a replica on a node that
+/// is down and that `live` does not already name: the node crashed while
+/// the decision was in flight, and failure handling may have scrubbed it.
+bool addsReplicaOnDownNode(const task::Placement& decided,
+                           const task::Placement& live,
+                           const node::Cluster& cluster) {
+  for (std::size_t i = 0; i < decided.stageCount(); ++i) {
+    for (const ProcessorId p : decided.stage(i).nodes()) {
+      if (!cluster.isUp(p) && !live.stage(i).contains(p)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 ResourceManager::ResourceManager(task::Runtime rt, const task::TaskSpec& spec,
                                  task::Placement initial,
                                  task::TaskRunner::WorkloadFn workload,
@@ -373,6 +393,13 @@ void ResourceManager::onRecord(const task::PeriodRecord& record) {
             // Deposed while the decision was in flight: the new owner
             // decides from its own view, so this one never lands.
             if (gate_ != nullptr && !gate_()) {
+              return;
+            }
+            // A node the decision names crashed in flight: landing it would
+            // bring the node back into the placement after failure
+            // handling took it out. The next period decides afresh.
+            if (addsReplicaOnDownNode(placement, runner_->placement(),
+                                      rt_.cluster)) {
               return;
             }
             runner_->setPlacement(placement);

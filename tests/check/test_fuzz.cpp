@@ -202,6 +202,19 @@ TEST(RunFuzzSeed, DeposedManagersDeferredPlacementNeverLands) {
   EXPECT_GT(out.checks, 0u);
 }
 
+// Regression: with a control-plane action latency, a placement decided
+// before a node crashed used to land after failure handling had taken the
+// node out, putting the replica back on the down node (`--faults
+// --replay-seed 738`: replica-on-down-node, then fault-recovery-deadline;
+// seed 2367 likewise).
+TEST(RunFuzzSeed, DeferredPlacementNeverLandsOnCrashedNode) {
+  for (const std::uint64_t seed : {738u, 2367u}) {
+    const FuzzOutcome out = runFuzzSeed(seed, {}, /*with_faults=*/true);
+    EXPECT_FALSE(out.failed()) << "seed " << seed << ": " << out.detail;
+    EXPECT_GT(out.checks, 0u);
+  }
+}
+
 TEST(RunFuzzCase, SameScenarioProducesByteIdenticalDigests) {
   const FuzzScenario s = makeFuzzScenario(5);
   const FuzzCaseResult a = runFuzzCase(s, AllocatorKind::kPredictive);
