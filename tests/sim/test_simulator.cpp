@@ -269,5 +269,65 @@ TEST(Simulator, InsertionGuardRunsBeforeTheKeyIsTaken) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+// A reserved key is the one scheduleAt() would have taken, guard included;
+// a deferred event under it takes its turn in step() between the events
+// scheduled before and after it, and scheduleReserved() puts it back on
+// the calendar in the same place.
+TEST(Simulator, ReservedKeyOrdersDeferredAndReservedEvents) {
+  Simulator sim;
+  const SimTime t = SimTime::millis(5.0);
+  std::vector<double> guarded;
+  sim.armInsertionGuard(t, t, [&](SimTime at) {
+    guarded.push_back(at.ms());
+    sim.disarmInsertionGuard();
+  });
+  std::vector<int> order;
+  sim.scheduleAt(t, [&] { order.push_back(0); });  // disarms the guard
+  const std::uint64_t mark = sim.orderMark();
+  const std::uint64_t key = sim.reserveOrderKey(t);
+  EXPECT_EQ(key, mark);
+  sim.defer(t, key, [&] { order.push_back(1); });
+  const std::uint64_t key2 = sim.reserveOrderKey(t);
+  sim.scheduleAt(t, [&] { order.push_back(3); });
+  sim.scheduleReserved(t, key2, [&] { order.push_back(2); });
+  EXPECT_EQ(guarded, (std::vector<double>{5.0}));
+  while (sim.step()) {
+    EXPECT_EQ(sim.now(), t);
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.eventsExecuted(), 3u);  // the deferred one is not counted
+}
+
+// passed() is the tie rule for elided events; a deferred event a run has
+// passed is applied by the next step() without counting as the step, and
+// runAll() ends at the last deferred event's instant.
+TEST(Simulator, DeferredEventsInRunsAndSteps) {
+  Simulator sim;
+  int applied = 0;
+  const std::uint64_t k1 = sim.reserveOrderKey(SimTime::millis(2.0));
+  sim.defer(SimTime::millis(2.0), k1, [&] { ++applied; });
+  sim.scheduleAt(SimTime::millis(4.0), [] {});
+  sim.runUntil(SimTime::millis(3.0));
+  EXPECT_TRUE(sim.passed(SimTime::millis(2.0), k1));
+  EXPECT_FALSE(sim.passed(SimTime::millis(4.0), k1));
+  EXPECT_EQ(applied, 0);  // nothing touched it
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(applied, 1);
+  EXPECT_DOUBLE_EQ(sim.now().ms(), 4.0);
+
+  const std::uint64_t k2 = sim.reserveOrderKey(SimTime::millis(7.0));
+  sim.defer(SimTime::millis(7.0), k2, [&] { ++applied; });
+  const std::uint64_t k3 = sim.reserveOrderKey(SimTime::millis(9.0));
+  const Simulator::DeferredId dropped =
+      sim.defer(SimTime::millis(9.0), k3, [&] { applied += 100; });
+  sim.undefer(dropped);
+  EXPECT_TRUE(sim.runAll());
+  EXPECT_EQ(applied, 2);
+  EXPECT_DOUBLE_EQ(sim.now().ms(), 7.0);
+  EXPECT_TRUE(sim.passed(SimTime::millis(7.0), k2));
+  SimTime next;
+  EXPECT_FALSE(sim.peekNextEvent(&next));
+}
+
 }  // namespace
 }  // namespace rtdrm::sim
