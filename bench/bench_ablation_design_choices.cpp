@@ -166,28 +166,15 @@ int main() {
     printBanner(std::cout, "Ablation 7: predictive forecast headroom");
     Table t({"headroom", "missed %", "replicas", "combined"}, 2);
     for (double h : {0.0, 0.1, 0.25, 0.5}) {
-      workload::RampParams r2 = ramp();
-      const workload::Triangular pattern(r2);
-      experiments::EpisodeConfig cfg = baseConfig();
-      // Build the episode by hand so we can configure the allocator.
-      apps::Scenario scenario(cfg.scenario);
-      std::vector<ProcessorId> homes;
-      for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-        homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % 6)});
-      }
-      core::ResourceManager manager(
-          scenario.runtime(), spec, task::Placement(homes),
-          [&pattern](std::uint64_t c) { return pattern.at(c); },
-          std::make_unique<core::PredictiveAllocator>(
-              fitted.models, core::PredictiveConfig{h}),
-          fitted.models, cfg.manager, scenario.streams().get("exec-noise"));
-      manager.start(scenario.sim().now());
-      scenario.runFor(spec.period * 72.0);
-      manager.stop();
-      scenario.runFor(spec.period * 3.0);
-      const auto& m = manager.metrics();
-      t.addRow({h, m.missedRatio() * 100.0, m.replicas_per_subtask.mean(),
-                m.combined(6)});
+      experiments::Episode episode(
+          baseConfig(), {{&spec, &pat, &fitted.models}},
+          [h](const experiments::EpisodeTask& task) {
+            return std::make_unique<core::PredictiveAllocator>(
+                *task.models, core::PredictiveConfig{h});
+          });
+      episode.run();
+      const auto r = episode.result();
+      t.addRow({h, r.missed_pct, r.avg_replicas, r.combined});
     }
     t.print(std::cout);
   }
@@ -207,30 +194,21 @@ int main() {
       const workload::Triangular pattern(r2);
       experiments::EpisodeConfig cfg = baseConfig();
       cfg.manager.shutdown_selection = sel;
-      apps::Scenario scenario(cfg.scenario);
-      std::vector<ProcessorId> homes;
-      for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-        homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % 6)});
-      }
-      core::ResourceManager manager(
-          scenario.runtime(), spec, task::Placement(homes),
-          [&pattern](std::uint64_t c) { return pattern.at(c); },
-          std::make_unique<core::PredictiveAllocator>(fitted.models),
-          fitted.models, cfg.manager, scenario.streams().get("exec-noise"));
-      manager.start(scenario.sim().now());
-      scenario.sim().scheduleAt(SimTime::seconds(5.0), [&scenario] {
-        scenario.cluster().backgroundLoad(ProcessorId{5})
-            .setTarget(Utilization::fraction(0.9));
+      experiments::Episode episode(cfg, {{&spec, &pattern, &fitted.models}},
+                                   experiments::AlgorithmKind::kPredictive);
+      episode.onStart([&episode] {
+        episode.scenario().sim().scheduleAt(SimTime::seconds(5.0),
+                                            [&episode] {
+          episode.scenario().cluster().backgroundLoad(ProcessorId{5})
+              .setTarget(Utilization::fraction(0.9));
+        });
       });
-      scenario.runFor(spec.period * 72.0);
-      manager.stop();
-      scenario.runFor(spec.period * 3.0);
-      const auto& m = manager.metrics();
+      episode.run();
+      const auto r = episode.result();
       t.addRow({std::string(sel == core::ShutdownSelection::kLastAdded
                                 ? "last-added (paper Fig. 6)"
                                 : "most-utilized (extension)"),
-                m.missedRatio() * 100.0, m.replicas_per_subtask.mean(),
-                m.combined(6)});
+                r.missed_pct, r.avg_replicas, r.combined});
     }
     t.print(std::cout);
     std::cout

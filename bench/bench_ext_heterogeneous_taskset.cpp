@@ -34,7 +34,7 @@ int main() {
                                     DataSize::tracks(4000.0), 60, 20);
   const workload::Constant surveil_load(DataSize::tracks(2500.0));
 
-  const std::vector<experiments::TaskSetMember> members{
+  const std::vector<experiments::EpisodeTask> members{
       {&engage, &engage_load, &f_engage.models, 0},  // fastest first
       {&aaw, &aaw_load, &f_aaw.models, 0},
       {&surveil, &surveil_load, &f_surveil.models, 0},

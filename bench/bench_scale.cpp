@@ -24,12 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "apps/scenario.hpp"
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
-#include "core/ledger.hpp"
-#include "core/manager.hpp"
+#include "experiments/multitask.hpp"
 #include "workload/patterns.hpp"
 
 using namespace rtdrm;
@@ -68,19 +66,18 @@ struct CellResult {
   std::uint64_t allocation_failures = 0;
 };
 
-/// One multi-task episode (the runMultiTaskEpisode wiring, inlined so the
+/// One multi-task episode (runMultiTaskEpisode's, built here so the
 /// cluster's index toggle is reachable), timed end to end: release through
 /// drain, managers included.
 CellResult runCell(const task::TaskSpec& spec,
                    const core::PredictiveModels& models,
                    const CellConfig& cfg) {
-  apps::ScenarioConfig scfg;
-  scfg.node_count = cfg.nodes;
-  scfg.sim_shards = cfg.sim_shards;
-  scfg.sim_mode = cfg.sim_mode;
-  scfg.sim_lookahead = cfg.lookahead;
-  apps::Scenario scenario(scfg);
-  scenario.cluster().setUtilizationIndexEnabled(cfg.use_index);
+  experiments::EpisodeConfig ep;
+  ep.scenario.node_count = cfg.nodes;
+  ep.scenario.sim_shards = cfg.sim_shards;
+  ep.scenario.sim_mode = cfg.sim_mode;
+  ep.scenario.sim_lookahead = cfg.lookahead;
+  ep.periods = cfg.periods;
 
   // A fast triangular oscillation between min_frac*max and max: replica
   // sets stay large but keep growing and shedding every few periods, which
@@ -92,44 +89,19 @@ CellResult runCell(const task::TaskSpec& spec,
   ramp.ramp_periods = cfg.ramp_periods;
   const workload::Triangular pattern(ramp);
 
-  core::WorkloadLedger ledger;
-  std::vector<task::TaskSpec> specs(cfg.tasks, spec);
-  std::vector<std::unique_ptr<core::ResourceManager>> managers;
-  managers.reserve(cfg.tasks);
+  // Phase-shifted peaks, five periods apart.
+  const std::vector<task::TaskSpec> specs =
+      experiments::namedCopies(spec, cfg.tasks);
+  std::vector<experiments::EpisodeTask> tasks;
   for (std::size_t t = 0; t < cfg.tasks; ++t) {
-    specs[t].name = spec.name + "#" + std::to_string(t + 1);
-    // Staggered primaries and phase-shifted peaks, as in multitask.cpp.
-    std::vector<ProcessorId> homes;
-    for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-      homes.push_back(ProcessorId{
-          static_cast<std::uint32_t>((s + 2 * t) % cfg.nodes)});
-    }
-    std::unique_ptr<core::Allocator> allocator;
-    if (cfg.algorithm == experiments::AlgorithmKind::kPredictive) {
-      allocator = std::make_unique<core::PredictiveAllocator>(models);
-    } else {
-      allocator = std::make_unique<core::NonPredictiveAllocator>();
-    }
-    core::ManagerConfig mgr_cfg;
-    mgr_cfg.sample_cluster = (t == 0);
-    const std::uint64_t phase = t * 5;
-    managers.push_back(std::make_unique<core::ResourceManager>(
-        scenario.runtime(), specs[t], task::Placement(homes),
-        [&pattern, phase](std::uint64_t c) { return pattern.at(c + phase); },
-        std::move(allocator), models, mgr_cfg,
-        scenario.streams().get("exec-noise", t)));
-    managers.back()->attachLedger(ledger);
+    tasks.push_back({&specs[t], &pattern, &models, t * 5});
   }
+  experiments::Episode episode(ep, tasks, cfg.algorithm);
+  apps::Scenario& scenario = episode.scenario();
+  scenario.cluster().setUtilizationIndexEnabled(cfg.use_index);
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (auto& m : managers) {
-    m->start(scenario.sim().now());
-  }
-  scenario.runFor(spec.period * static_cast<double>(cfg.periods));
-  for (auto& m : managers) {
-    m->stop();
-  }
-  scenario.runFor(spec.period * 3.0);
+  episode.run();
   const auto t1 = std::chrono::steady_clock::now();
 
   CellResult out;
@@ -143,8 +115,8 @@ CellResult runCell(const task::TaskSpec& spec,
   out.events = scenario.engine().eventsExecuted();
   double missed = 0.0;
   double replicas = 0.0;
-  for (const auto& m : managers) {
-    const core::EpisodeMetrics& em = m->metrics();
+  for (std::size_t t = 0; t < cfg.tasks; ++t) {
+    const core::EpisodeMetrics& em = episode.manager(t).metrics();
     missed += em.missedRatio() * 100.0;
     replicas += em.replicas_per_subtask.mean();
     out.replicate_actions += em.replicate_actions;

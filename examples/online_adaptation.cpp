@@ -16,16 +16,15 @@
 #include <map>
 
 #include "apps/dynbench.hpp"
-#include "apps/scenario.hpp"
 #include "common/table.hpp"
-#include "core/manager.hpp"
+#include "experiments/episode.hpp"
 #include "experiments/model_store.hpp"
 #include "workload/patterns.hpp"
 
 using namespace rtdrm;
 
 int main() {
-  task::TaskSpec spec = apps::makeAawTaskSpec();
+  const task::TaskSpec spec = apps::makeAawTaskSpec();
   std::cout << "Fitting offline models (pre-drift environment)...\n";
   experiments::ModelFitConfig fit_cfg = experiments::defaultModelFitConfig();
   fit_cfg.exec.samples_per_point = 4;
@@ -40,31 +39,21 @@ int main() {
   const workload::Constant raid_level(DataSize::tracks(22000.0));
   const workload::Sequence mission(
       {{&calm, 70}, {&raid_level, 20}, {&calm, 0}});
-  auto offered = [&mission](std::uint64_t c) { return mission.at(c); };
 
-  apps::Scenario scenario(apps::ScenarioConfig{});
-  std::vector<ProcessorId> homes;
-  for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-    homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % 6)});
-  }
-  core::ManagerConfig cfg;
-  cfg.d_init = DataSize::tracks(500.0);
-  cfg.online_refit = true;
-  cfg.refit.forgetting = 0.96;
-  cfg.allow_load_shedding = true;
-  core::ResourceManager manager(
-      scenario.runtime(), spec, task::Placement(homes), offered,
-      std::make_unique<core::PredictiveAllocator>(fitted.models),
-      fitted.models, cfg, scenario.streams().get("exec-noise"));
-
+  experiments::EpisodeConfig cfg;
+  cfg.periods = 110;
+  cfg.manager.d_init = DataSize::tracks(500.0);
+  cfg.manager.online_refit = true;
+  cfg.manager.refit.forgetting = 0.96;
+  cfg.manager.allow_load_shedding = true;
   // Drift at period 40: replicable costs double.
-  scenario.sim().scheduleAt(SimTime::seconds(40.0), [&spec] {
-    for (auto& st : spec.subtasks) {
-      if (st.replicable) {
-        st.cost.alpha_ms *= 2.0;
-        st.cost.beta_ms *= 2.0;
-      }
-    }
+  cfg.drift_at_period = 40;
+  cfg.drift_cost_scale = 2.0;
+  experiments::Episode episode(cfg, {{&spec, &mission, &fitted.models}},
+                               experiments::AlgorithmKind::kPredictive);
+  core::ResourceManager& manager = episode.manager();
+  sim::Simulator& sim = episode.scenario().sim();
+  sim.scheduleAt(SimTime::seconds(40.0), [] {
     std::cout << "[t=40s] environment drift: replicable costs x2\n";
   });
 
@@ -74,21 +63,17 @@ int main() {
     double shed = 0.0;
   };
   std::map<std::uint64_t, Row> timeline;
-  sim::PeriodicActivity snapshot(
-      scenario.sim(), spec.period, [&](std::uint64_t c) {
-        Row& row = timeline[c];
-        row.workload = offered(c).count();
-        row.replicas = manager.runner().placement()
-                           .stage(apps::kFilterStage).size();
-        row.shed = manager.shedFraction();
-      });
-
-  manager.start(scenario.sim().now());
-  snapshot.start(scenario.sim().now() + SimDuration::millis(1.0));
-  scenario.runFor(SimDuration::seconds(110.0));
-  manager.stop();
-  snapshot.stop();
-  scenario.runFor(SimDuration::seconds(3.0));
+  sim::PeriodicActivity snapshot(sim, spec.period, [&](std::uint64_t c) {
+    Row& row = timeline[c];
+    row.workload = mission.at(c).count();
+    row.replicas =
+        manager.runner().placement().stage(apps::kFilterStage).size();
+    row.shed = manager.shedFraction();
+  });
+  episode.onStart(
+      [&] { snapshot.start(sim.now() + SimDuration::millis(1.0)); });
+  episode.onStop([&] { snapshot.stop(); });
+  episode.run();
 
   printBanner(std::cout, "Mission timeline (every 5th period)");
   Table t({"period", "offered tracks", "Filter replicas", "shed %"}, 1);

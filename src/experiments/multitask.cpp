@@ -1,11 +1,19 @@
 #include "experiments/multitask.hpp"
 
-#include <algorithm>
-#include <memory>
+#include <string>
 
 #include "common/assert.hpp"
 
 namespace rtdrm::experiments {
+
+std::vector<task::TaskSpec> namedCopies(const task::TaskSpec& spec,
+                                        std::size_t count) {
+  std::vector<task::TaskSpec> specs(count, spec);
+  for (std::size_t t = 0; t < count; ++t) {
+    specs[t].name = spec.name + "#" + std::to_string(t + 1);
+  }
+  return specs;
+}
 
 MultiTaskResult runMultiTaskEpisode(const task::TaskSpec& spec,
                                     const workload::Pattern& pattern,
@@ -13,152 +21,28 @@ MultiTaskResult runMultiTaskEpisode(const task::TaskSpec& spec,
                                     AlgorithmKind algorithm,
                                     const MultiTaskConfig& config) {
   RTDRM_ASSERT(config.task_count >= 1);
-  apps::Scenario scenario(config.episode.scenario);
-  const std::size_t nodes = config.episode.scenario.node_count;
-
-  core::WorkloadLedger ledger;
-
-  // Per-task specs: identical structure, distinct names for the ledger and
-  // traces.
-  std::vector<task::TaskSpec> specs(config.task_count, spec);
+  const std::vector<task::TaskSpec> specs =
+      namedCopies(spec, config.task_count);
+  std::vector<EpisodeTask> members;
   for (std::size_t t = 0; t < config.task_count; ++t) {
-    specs[t].name = spec.name + "#" + std::to_string(t + 1);
+    members.push_back({&specs[t], &pattern, &models, t * config.phase_shift});
   }
-
-  std::vector<std::unique_ptr<core::ResourceManager>> managers;
-  managers.reserve(config.task_count);
-  for (std::size_t t = 0; t < config.task_count; ++t) {
-    // Stagger initial placements so primaries don't pile onto node 0.
-    std::vector<ProcessorId> homes;
-    for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-      homes.push_back(ProcessorId{
-          static_cast<std::uint32_t>((s + 2 * t) % nodes)});
-    }
-
-    std::unique_ptr<core::Allocator> allocator;
-    if (algorithm == AlgorithmKind::kPredictive) {
-      allocator = std::make_unique<core::PredictiveAllocator>(models);
-    } else {
-      allocator = std::make_unique<core::NonPredictiveAllocator>(
-          config.episode.nonpredictive_threshold);
-    }
-
-    core::ManagerConfig mgr_cfg = config.episode.manager;
-    // Exactly one manager owns the cluster's utilization sampling window.
-    mgr_cfg.sample_cluster = (t == 0);
-
-    const std::uint64_t phase = t * config.phase_shift;
-    managers.push_back(std::make_unique<core::ResourceManager>(
-        scenario.runtime(), specs[t], task::Placement(homes),
-        [&pattern, phase](std::uint64_t c) { return pattern.at(c + phase); },
-        std::move(allocator), models, mgr_cfg,
-        scenario.streams().get("exec-noise", t)));
-    managers.back()->attachLedger(ledger);
-  }
-
-  for (auto& m : managers) {
-    m->start(scenario.sim().now());
-  }
-  scenario.runFor(spec.period *
-                        static_cast<double>(config.episode.periods));
-  for (auto& m : managers) {
-    m->stop();
-  }
-  scenario.runFor(spec.period * config.episode.drain_periods);
-
-  MultiTaskResult out;
-  out.tasks.reserve(config.task_count);
-  for (auto& m : managers) {
-    EpisodeResult r;
-    r.metrics = m->metrics();
-    r.combined = r.metrics.combined(nodes);
-    r.missed_pct = r.metrics.missedRatio() * 100.0;
-    r.cpu_pct = r.metrics.cpu_utilization.mean() * 100.0;
-    r.net_pct = r.metrics.net_utilization.mean() * 100.0;
-    r.avg_replicas = r.metrics.replicas_per_subtask.mean();
-    out.missed_pct += r.missed_pct;
-    out.cpu_pct += r.cpu_pct;
-    out.net_pct += r.net_pct;
-    out.avg_replicas += r.avg_replicas;
-    out.combined += r.combined;
-    out.tasks.push_back(std::move(r));
-  }
-  const auto n = static_cast<double>(config.task_count);
-  out.missed_pct /= n;
-  out.cpu_pct /= n;
-  out.net_pct /= n;
-  out.avg_replicas /= n;
-  out.combined /= n;
-  return out;
+  return runTaskSetEpisode(
+      members, algorithm, config.episode,
+      spec.period * static_cast<double>(config.episode.periods));
 }
 
-MultiTaskResult runTaskSetEpisode(const std::vector<TaskSetMember>& members,
+MultiTaskResult runTaskSetEpisode(const std::vector<EpisodeTask>& members,
                                   AlgorithmKind algorithm,
                                   const EpisodeConfig& config,
                                   SimDuration horizon) {
-  RTDRM_ASSERT(!members.empty());
-  apps::Scenario scenario(config.scenario);
-  const std::size_t nodes = config.scenario.node_count;
-  core::WorkloadLedger ledger;
-
-  std::vector<std::unique_ptr<core::ResourceManager>> managers;
-  managers.reserve(members.size());
-  for (std::size_t t = 0; t < members.size(); ++t) {
-    const TaskSetMember& m = members[t];
-    RTDRM_ASSERT(m.spec != nullptr && m.pattern != nullptr &&
-                 m.models != nullptr);
-
-    std::vector<ProcessorId> homes;
-    for (std::size_t s = 0; s < m.spec->stageCount(); ++s) {
-      homes.push_back(
-          ProcessorId{static_cast<std::uint32_t>((s + 2 * t) % nodes)});
-    }
-
-    std::unique_ptr<core::Allocator> allocator;
-    if (algorithm == AlgorithmKind::kPredictive) {
-      allocator = std::make_unique<core::PredictiveAllocator>(*m.models);
-    } else {
-      allocator = std::make_unique<core::NonPredictiveAllocator>(
-          config.nonpredictive_threshold);
-    }
-
-    core::ManagerConfig mgr_cfg = config.manager;
-    mgr_cfg.sample_cluster = (t == 0);
-
-    const workload::Pattern* pattern = m.pattern;
-    const std::uint64_t phase = m.phase;
-    managers.push_back(std::make_unique<core::ResourceManager>(
-        scenario.runtime(), *m.spec, task::Placement(homes),
-        [pattern, phase](std::uint64_t c) { return pattern->at(c + phase); },
-        std::move(allocator), *m.models, mgr_cfg,
-        scenario.streams().get("exec-noise", t)));
-    managers.back()->attachLedger(ledger);
-  }
-
-  for (auto& m : managers) {
-    m->start(scenario.sim().now());
-  }
-  scenario.runFor(horizon);
-  for (auto& m : managers) {
-    m->stop();
-  }
-  // Drain: three of the slowest member's periods.
-  SimDuration slowest = members.front().spec->period;
-  for (const auto& m : members) {
-    slowest = std::max(slowest, m.spec->period);
-  }
-  scenario.runFor(slowest * 3.0);
+  Episode episode(config, members, algorithm);
+  episode.run(horizon);
 
   MultiTaskResult out;
   out.tasks.reserve(members.size());
-  for (auto& m : managers) {
-    EpisodeResult r;
-    r.metrics = m->metrics();
-    r.combined = r.metrics.combined(nodes);
-    r.missed_pct = r.metrics.missedRatio() * 100.0;
-    r.cpu_pct = r.metrics.cpu_utilization.mean() * 100.0;
-    r.net_pct = r.metrics.net_utilization.mean() * 100.0;
-    r.avg_replicas = r.metrics.replicas_per_subtask.mean();
+  for (std::size_t t = 0; t < members.size(); ++t) {
+    EpisodeResult r = episode.result(t);
     out.missed_pct += r.missed_pct;
     out.cpu_pct += r.cpu_pct;
     out.net_pct += r.net_pct;

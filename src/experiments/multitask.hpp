@@ -3,14 +3,14 @@
 // The paper's model is a task *set* T = {T1, T2, ...} but its baseline
 // evaluates one task (Table 1). This extension runs several periodic tasks
 // on one shared cluster/segment, each under its own resource manager, all
-// posting to a shared WorkloadLedger so eq. (5)'s sum over tasks is live.
-// Task i's workload pattern is phase-shifted so peaks collide only
-// partially — the interesting interference regime.
+// posting to a shared WorkloadLedger so eq. (5)'s sum over tasks is live
+// (the wiring is experiments::Episode's). Task i's workload pattern is
+// phase-shifted so peaks collide only partially — the interesting
+// interference regime.
 #pragma once
 
 #include <vector>
 
-#include "core/ledger.hpp"
 #include "experiments/episode.hpp"
 
 namespace rtdrm::experiments {
@@ -33,6 +33,11 @@ struct MultiTaskResult {
   double combined = 0.0;
 };
 
+/// `count` copies of `spec` named "<name>#1".."<name>#<count>", so each
+/// task of a set has its own ledger and trace name.
+std::vector<task::TaskSpec> namedCopies(const task::TaskSpec& spec,
+                                        std::size_t count);
+
 /// Runs `task_count` copies of `spec` (independent noise streams, shifted
 /// patterns, staggered initial placements) under the given allocator kind.
 MultiTaskResult runMultiTaskEpisode(const task::TaskSpec& spec,
@@ -41,20 +46,12 @@ MultiTaskResult runMultiTaskEpisode(const task::TaskSpec& spec,
                                     AlgorithmKind algorithm,
                                     const MultiTaskConfig& config);
 
-/// One member of a *heterogeneous* task set: its own structure, pattern,
-/// fitted models, and pattern phase. All pointers must outlive the call.
-struct TaskSetMember {
-  const task::TaskSpec* spec = nullptr;
-  const workload::Pattern* pattern = nullptr;
-  const core::PredictiveModels* models = nullptr;
-  std::uint64_t phase = 0;
-};
-
 /// Runs a heterogeneous task set for `horizon` of simulated time on one
-/// shared cluster. Tasks may have different periods; the *first* member's
-/// manager drives the cluster's utilization sampling window, so list the
-/// fastest task first for the freshest observations.
-MultiTaskResult runTaskSetEpisode(const std::vector<TaskSetMember>& members,
+/// shared cluster, then drains config.drain_periods of the slowest
+/// member's period. Tasks may have different periods; the *first*
+/// member's manager drives the cluster's utilization sampling window, so
+/// list the fastest task first for the freshest observations.
+MultiTaskResult runTaskSetEpisode(const std::vector<EpisodeTask>& members,
                                   AlgorithmKind algorithm,
                                   const EpisodeConfig& config,
                                   SimDuration horizon);

@@ -4,11 +4,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "apps/dynbench.hpp"
-#include "core/allocators.hpp"
 #include "experiments/model_store.hpp"
 
 namespace rtdrm::experiments {
@@ -204,9 +202,9 @@ TEST(AlgorithmName, Stable) {
 // A pass-through frame-fate hook keeps every bus grant on the per-frame
 // path without changing what happens on the wire. The same Table-1 bus
 // episode with and without it must deliver bit-identical receipts and
-// results. runEpisode does not expose its bus, so busEpisode() repeats its
-// single-manager wiring for the paper, multi and surge mixes; its unhooked
-// result is checked against runEpisode's first.
+// results. busEpisode() attaches the hook and a delivery observer to the
+// episode runEpisode() runs, for the paper, multi and surge mixes; its
+// unhooked result is checked against runEpisode's first.
 
 struct BusEpisode {
   EpisodeResult result;
@@ -218,68 +216,23 @@ BusEpisode busEpisode(const task::TaskSpec& spec,
                       const core::PredictiveModels& models,
                       AlgorithmKind algorithm, const EpisodeConfig& config,
                       bool per_frame) {
-  apps::Scenario scenario(config.scenario);
+  Episode episode(config, {{&spec, &pattern, &models}}, algorithm);
   BusEpisode out;
-  scenario.net().setDeliveryObserver([&out](const net::MessageReceipt& r) {
+  net::NetworkModel& net = episode.scenario().net();
+  net.setDeliveryObserver([&out](const net::MessageReceipt& r) {
     for (const double v : {r.enqueued.ms(), r.first_bit.ms(),
                            r.delivered.ms(), r.payload.count()}) {
       out.receipts.push_back(std::bit_cast<std::uint64_t>(v));
     }
   });
   if (per_frame) {
-    scenario.net().setFrameFateHook(
+    net.setFrameFateHook(
         [](const net::FrameHop&) { return net::FrameFate::kDeliver; });
   }
-  std::unique_ptr<workload::CorrelatedSurge> surge_gen;
-  std::unique_ptr<workload::Pattern> generated;
-  const workload::Pattern* offered = &pattern;
-  if (config.workload_mix == workload::WorkloadMix::kSurge) {
-    surge_gen = std::make_unique<workload::CorrelatedSurge>(
-        config.surge, config.surge_sensors, config.scenario.seed);
-    generated = surge_gen->fusedPattern();
-    offered = generated.get();
-  }
-  std::unique_ptr<workload::ContenderTraffic> contenders;
-  if (config.workload_mix == workload::WorkloadMix::kMulti) {
-    workload::ContenderConfig cc = config.contenders;
-    cc.seed ^= config.scenario.seed * 0x9e3779b97f4a7c15ULL;
-    contenders = std::make_unique<workload::ContenderTraffic>(
-        scenario.sim(), scenario.net(), config.scenario.node_count, cc);
-  }
-  std::vector<ProcessorId> homes;
-  for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-    homes.push_back(ProcessorId{
-        static_cast<std::uint32_t>(s % config.scenario.node_count)});
-  }
-  std::unique_ptr<core::Allocator> allocator;
-  if (algorithm == AlgorithmKind::kPredictive) {
-    allocator = std::make_unique<core::PredictiveAllocator>(models);
-  } else {
-    allocator = std::make_unique<core::NonPredictiveAllocator>(
-        config.nonpredictive_threshold);
-  }
-  core::ResourceManager manager(
-      scenario.runtime(), spec, task::Placement(homes),
-      [offered](std::uint64_t period) { return offered->at(period); },
-      std::move(allocator), models, config.manager,
-      scenario.streams().get("exec-noise"));
-  if (contenders != nullptr) {
-    contenders->start();
-  }
-  manager.start(scenario.sim().now());
-  scenario.runFor(spec.period * static_cast<double>(config.periods));
-  manager.stop();
-  scenario.runFor(spec.period * config.drain_periods);
-  scenario.net().setFrameFateHook(nullptr);
-  scenario.net().setDeliveryObserver(nullptr);
-
-  EpisodeResult& r = out.result;
-  r.metrics = manager.metrics();
-  r.combined = r.metrics.combined(config.scenario.node_count);
-  r.missed_pct = r.metrics.missedRatio() * 100.0;
-  r.cpu_pct = r.metrics.cpu_utilization.mean() * 100.0;
-  r.net_pct = r.metrics.net_utilization.mean() * 100.0;
-  r.avg_replicas = r.metrics.replicas_per_subtask.mean();
+  episode.run();
+  net.setFrameFateHook(nullptr);
+  net.setDeliveryObserver(nullptr);
+  out.result = episode.result();
   return out;
 }
 

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/dynbench.hpp"
-#include "apps/scenario.hpp"
-#include "core/manager.hpp"
 #include "experiments/episode.hpp"
 #include "experiments/model_store.hpp"
 
@@ -31,9 +29,10 @@ class Robustness : public ::testing::Test {
 task::TaskSpec* Robustness::spec_ = nullptr;
 FittedModelSet* Robustness::fitted_ = nullptr;
 
-// Shared driver: constant 8000-track load with one node hogged at ~90%
-// ambient utilization from `hog_at` onward. Homes avoid node 5 so the
-// question is purely whether the allocator sends replicas there.
+// Shared driver: constant 8000-track load for 48 periods with one node
+// hogged at ~90% ambient utilization from `hog_at` onward. The five stages
+// start on nodes 0-4, so the question is purely whether the allocator
+// sends replicas to node 5.
 struct HogOutcome {
   core::EpisodeMetrics metrics;
   /// Final replica-set node order of the Filter stage (addition order).
@@ -42,26 +41,19 @@ struct HogOutcome {
 
 HogOutcome runWithHog(const task::TaskSpec& spec,
                       const FittedModelSet& fitted, SimDuration hog_at) {
-  apps::ScenarioConfig scfg;
-  apps::Scenario scenario(scfg);
-  std::vector<ProcessorId> homes;
-  for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-    homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % 5)});
-  }
-  core::ResourceManager manager(
-      scenario.runtime(), spec, task::Placement(homes),
-      [](std::uint64_t) { return DataSize::tracks(8000.0); },
-      std::make_unique<core::PredictiveAllocator>(fitted.models),
-      fitted.models, core::ManagerConfig{},
-      scenario.streams().get("exec-noise"));
-  manager.start(scenario.sim().now());
-  scenario.sim().scheduleAt(SimTime::zero() + hog_at, [&] {
-    scenario.cluster().backgroundLoad(ProcessorId{5})
-        .setTarget(Utilization::fraction(0.9));
+  const workload::Constant load(DataSize::tracks(8000.0));
+  EpisodeConfig cfg;
+  cfg.periods = 48;
+  Episode episode(cfg, {{&spec, &load, &fitted.models}},
+                  AlgorithmKind::kPredictive);
+  episode.onStart([&episode, hog_at] {
+    episode.scenario().sim().scheduleAt(SimTime::zero() + hog_at, [&episode] {
+      episode.scenario().cluster().backgroundLoad(ProcessorId{5})
+          .setTarget(Utilization::fraction(0.9));
+    });
   });
-  scenario.runFor(SimDuration::seconds(48.0));
-  manager.stop();
-  scenario.runFor(SimDuration::seconds(3.0));
+  episode.run();
+  core::ResourceManager& manager = episode.manager();
   return HogOutcome{manager.metrics(),
                     manager.runner().placement().stage(apps::kFilterStage)
                         .nodes()};
