@@ -112,10 +112,18 @@ void ManagementPlane::setManagerUp(std::uint32_t manager, bool up) {
     return;
   }
   up_[manager] = up ? 1 : 0;
-  if (!up && manager == active_) {
-    // Decisions stop the instant the active dies; the gap runs until a
-    // standby is elected (detection latency included, by construction).
-    openGap();
+  if (manager == active_) {
+    if (!up) {
+      // Decisions stop the instant the active dies; the gap runs until a
+      // standby is elected (detection latency included, by construction).
+      openGap();
+    } else {
+      // Back before the detector declared it down: no election runs, so
+      // the restart itself ends the gap and repairs the node failures
+      // queued meanwhile.
+      closeGap();
+      drainPendingFailures();
+    }
   }
   // A restarted endpoint resumes gossiping on the next round; it rejoins
   // the election candidate pool only once the detector sees its acks

@@ -102,7 +102,9 @@ class ManagementPlane {
   // ---- fault wiring ------------------------------------------------------
   /// Ground-truth crash/restart edge (FaultInjector::setManagerFaultTarget
   /// binds here). A crashed endpoint stops gossiping and acking instantly;
-  /// if it was the active, decisions stop with it and the gap opens.
+  /// if it was the active, decisions stop with it and the gap opens. An
+  /// active that restarts before the detector deposes it resumes at once:
+  /// the gap closes and queued node failures are repaired.
   void setManagerUp(std::uint32_t manager, bool up);
   /// Detector belief: `manager` was declared dead. Deposes it; if it was
   /// the active, elects the lowest-indexed live standby (or goes headless
@@ -115,7 +117,8 @@ class ManagementPlane {
   // ---- node-failure routing (episode wiring sends the node detector's
   // callbacks through here when managers > 1) -----------------------------
   /// Forwarded to the active manager when one exists; queued during the
-  /// gap and drained (still-down nodes only) by the next election.
+  /// gap and drained (still-down nodes only) by the next election, or by
+  /// the active's own restart.
   void handleNodeFailure(ProcessorId dead);
   void handleNodeRestart(ProcessorId node);
 

@@ -215,6 +215,17 @@ TEST(RunFuzzSeed, DeferredPlacementNeverLandsOnCrashedNode) {
   }
 }
 
+// Regression: the active manager crashed and restarted before the manager
+// detector declared it down, so no election ran, and a node declared dead
+// in between stayed queued and kept hosting its stage (`--faults
+// --manager-faults --replay-seed 1668`: fault-recovery-deadline).
+TEST(RunFuzzSeed, ActiveRestartRepairsFailuresQueuedInTheGap) {
+  const FuzzOutcome out = runFuzzSeed(1668, {}, /*with_faults=*/true, {},
+                                      /*with_manager_faults=*/true);
+  EXPECT_FALSE(out.failed()) << out.detail;
+  EXPECT_GT(out.checks, 0u);
+}
+
 TEST(RunFuzzCase, SameScenarioProducesByteIdenticalDigests) {
   const FuzzScenario s = makeFuzzScenario(5);
   const FuzzCaseResult a = runFuzzCase(s, AllocatorKind::kPredictive);

@@ -262,6 +262,50 @@ TEST(ManagementPlane, HeadlessQueuesNodeFailuresUntilReelection) {
   plane.stop();
 }
 
+// Regression (`fuzz_scenarios --faults --manager-faults --replay-seed
+// 1668`: fault-recovery-deadline): the active crashed and came back before
+// the detector declared it down, so no election ran, and the node failure
+// queued in between was never repaired.
+TEST(ManagementPlane, ActiveRestartBeforeDetectionDrainsQueuedFailures) {
+  Bed bed;
+  const auto s = spec();
+  auto mgr = makeManager(bed, s);
+  ManagementPlane plane(bed.sim, bed.ethernet, bed.cluster, planeConfig(2));
+  plane.adopt(*mgr);
+  mgr->start(bed.sim.now());
+  plane.start(bed.sim.now());
+
+  bed.sim.scheduleAt(SimTime::millis(100.0),
+                     [&plane] { plane.setManagerUp(0, false); });
+  // Node 1 hosts the flex stage; it dies inside the gap.
+  bed.sim.scheduleAt(SimTime::millis(150.0), [&] {
+    bed.cluster.setNodeUp(ProcessorId{1}, false);
+    plane.handleNodeFailure(ProcessorId{1});
+  });
+  bed.sim.runUntil(SimTime::millis(200.0));
+  EXPECT_FALSE(plane.decisionsAllowed());
+  EXPECT_EQ(plane.pendingNodeFailures(), 1u);
+  EXPECT_EQ(mgr->metrics().node_failures_handled, 0u);
+
+  // The active restarts inside the detector timeout: the detector never
+  // deposes it, so the restart itself must end the gap and repair.
+  bed.sim.scheduleAt(SimTime::millis(250.0),
+                     [&plane] { plane.setManagerUp(0, true); });
+  bed.sim.runUntil(SimTime::millis(300.0));
+  EXPECT_TRUE(plane.decisionsAllowed());
+  EXPECT_EQ(plane.activeManager(), 0u);
+  EXPECT_EQ(plane.elections(), 0u);
+  EXPECT_EQ(plane.pendingNodeFailures(), 0u);
+  EXPECT_EQ(mgr->metrics().node_failures_handled, 1u);
+  for (const ProcessorId p : mgr->runner().placement().stage(1).nodes()) {
+    EXPECT_NE(p, (ProcessorId{1}));
+  }
+  mgr->stop();
+  plane.stop();
+  // The gap covers the crash -> restart window only.
+  EXPECT_NEAR(plane.decisionGapMs(), 150.0, 1e-9);
+}
+
 TEST(ManagementPlane, DecisionGateSuppressesPeriodsDuringGap) {
   Bed bed;
   const auto s = spec();
