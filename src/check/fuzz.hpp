@@ -58,6 +58,7 @@
 #include "check/invariants.hpp"
 #include "common/parallel.hpp"
 #include "core/models.hpp"
+#include "experiments/episode.hpp"
 #include "fault/detector.hpp"
 #include "fault/plan.hpp"
 #include "net/fabric.hpp"
@@ -194,8 +195,9 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink = {},
                               bool with_net_topology = false,
                               bool with_workload_mix = false);
 
-enum class AllocatorKind { kPredictive, kNonPredictive };
-const char* allocatorKindName(AllocatorKind kind);
+/// The allocator a fuzz case runs under (experiments::algorithmName()
+/// names it).
+using AllocatorKind = experiments::AlgorithmKind;
 
 /// How the event kernel executes a fuzz case. The default (one shard) is
 /// the legacy single-queue path every historical digest was produced on.

@@ -26,7 +26,7 @@ TEST(ObsCrossCheck, FiftySeedsReconcileAcrossThreeSources) {
       obs::Observability bundle;
       const FuzzCaseResult r = runFuzzCase(scenario, kind, &bundle);
       EXPECT_TRUE(r.obs_mismatch.empty())
-          << "seed " << seed << " " << allocatorKindName(kind)
+          << "seed " << seed << " " << experiments::algorithmName(kind)
           << (with_faults ? " +faults" : "") << ":\n"
           << r.obs_mismatch;
       EXPECT_GT(bundle.metrics.size(), 0u);

@@ -34,7 +34,7 @@ TEST(ObsNeutrality, FuzzDigestsIdenticalWithObsAttached) {
       const check::FuzzCaseResult traced =
           check::runFuzzCase(scenario, kind, &bundle);
       EXPECT_EQ(plain.digest, traced.digest)
-          << "seed " << c.seed << " " << check::allocatorKindName(kind)
+          << "seed " << c.seed << " " << experiments::algorithmName(kind)
           << (c.faults ? " +faults" : "")
           << ": attaching obs changed the run digest";
       // Oracle-visible behavior unchanged: same checks, same verdicts.
