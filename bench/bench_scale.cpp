@@ -1,18 +1,14 @@
-// Management-plane scalability: nodes x tasks, indexed vs reference scans.
+// Management-plane scalability: episode wall clock over nodes x tasks.
 //
 // The paper fixes 6 nodes and one AAW task; this bench grows the episode
 // to 256 nodes x 32 tasks and measures what the management plane costs as
-// it scales. Each cell runs the same multi-task episode twice on one
-// build: once with the cluster's utilization min-index (the production
-// path) and once routed through the seed's linear scans
-// (Cluster::setUtilizationIndexEnabled(false)) — the bench_sim_kernel
-// idiom, so before/after is one run. Both modes must make *identical*
-// decisions; the bench cross-checks every per-task metric bit-for-bit and
-// fails loudly on any divergence.
+// it scales, on the cluster's utilization min-index. A thread axis then
+// runs the headline cell on the sharded engine across worker counts and
+// cross-checks that every sharded run makes identical decisions.
 //
-// Emits bench_out/scale.csv; the committed BENCH_scale.json records the
-// headline 256x32 before/after. `--smoke` runs the 16-node short-horizon
-// subset used by CI.
+// Emits bench_out/scale.csv and bench_out/scale_threads.csv; the committed
+// BENCH_scale.json records the headline 256x32 cell. `--smoke` runs the
+// 16-node short-horizon subset used by CI.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -43,7 +39,6 @@ struct CellConfig {
   std::uint64_t ramp_periods = 6;
   experiments::AlgorithmKind algorithm =
       experiments::AlgorithmKind::kPredictive;
-  bool use_index = true;
   /// Event-kernel sharding for the episode (1 = legacy single queue).
   std::size_t sim_shards = 1;
   parallel::SimMode sim_mode = parallel::SimMode::kDeterministic;
@@ -58,7 +53,8 @@ struct CellResult {
   std::uint64_t shard_windows_skipped = 0;
   std::uint64_t posts_merged = 0;
   std::uint64_t events = 0;
-  // Decision-dependent aggregates, compared bit-for-bit across modes.
+  // Decision-dependent aggregates, compared bit-for-bit across sharded
+  // runs.
   double missed_pct = 0.0;
   double avg_replicas = 0.0;
   std::uint64_t replicate_actions = 0;
@@ -67,8 +63,8 @@ struct CellResult {
 };
 
 /// One multi-task episode (runMultiTaskEpisode's, built here so the
-/// cluster's index toggle is reachable), timed end to end: release through
-/// drain, managers included.
+/// engine's window statistics are reachable), timed end to end: release
+/// through drain, managers included.
 CellResult runCell(const task::TaskSpec& spec,
                    const core::PredictiveModels& models,
                    const CellConfig& cfg) {
@@ -98,7 +94,6 @@ CellResult runCell(const task::TaskSpec& spec,
   }
   experiments::Episode episode(ep, tasks, cfg.algorithm);
   apps::Scenario& scenario = episode.scenario();
-  scenario.cluster().setUtilizationIndexEnabled(cfg.use_index);
 
   const auto t0 = std::chrono::steady_clock::now();
   episode.run();
@@ -150,7 +145,6 @@ bool runThreadAxis(const task::TaskSpec& spec,
                    const core::PredictiveModels& models, CellConfig cfg,
                    std::size_t shards,
                    const std::vector<unsigned>& thread_grid, Table* t) {
-  cfg.use_index = true;
   cfg.sim_shards = 1;
   const CellResult single = runCell(spec, models, cfg);
   t->addRow({static_cast<long long>(cfg.nodes),
@@ -266,19 +260,19 @@ int main(int argc, char** argv) {
   bool xl = false;
   bool no_threads_axis = false;
   ArgParser parser("bench_scale",
-                   "Management-plane scalability: indexed vs scan episode "
-                   "wall-clock over nodes x tasks, plus the sharded-engine "
-                   "thread axis at the headline cell");
+                   "Management-plane scalability: episode wall-clock over "
+                   "nodes x tasks, plus the sharded-engine thread axis at "
+                   "the headline cell");
   parser.addFlag("smoke", "CI subset: 16 nodes, {1, 8} tasks, 12 periods",
                  &smoke);
   parser.addInt("threads", "worker threads (0 = RTDRM_THREADS or cores)",
                 &threads)
       .addInt("shards", "event-kernel shards for the thread axis", &shards)
-      .addString("sim-mode", "det | fast for the index-vs-scan grid",
+      .addString("sim-mode", "det | fast for the nodes x tasks grid",
                  &sim_mode)
       .addString("lookahead",
                  "static | adaptive barrier-window sizing for the "
-                 "index-vs-scan grid (the thread axis always measures both)",
+                 "nodes x tasks grid (the thread axis always measures both)",
                  &lookahead)
       .addFlag("xl", "add the 1024-node / 128-task extremes to the grids",
                &xl)
@@ -334,14 +328,12 @@ int main(int argc, char** argv) {
   }
 
   printBanner(std::cout,
-              "Management-plane scale: episode wall-clock, utilization "
-              "index vs reference scans (identical decisions)");
-  Table t({"nodes", "tasks", "algorithm", "scan ms", "indexed ms",
-           "speedup", "missed %", "avg replicas"},
+              "Management-plane scale: episode wall-clock on the "
+              "utilization index");
+  Table t({"nodes", "tasks", "algorithm", "wall ms", "missed %",
+           "avg replicas"},
           2);
 
-  bool decisions_ok = true;
-  double headline_speedup = 0.0;
   for (const std::size_t nodes : node_grid) {
     for (const std::size_t tasks : task_grid) {
       for (const auto algorithm :
@@ -358,36 +350,17 @@ int main(int argc, char** argv) {
         cfg.sim_mode = grid_mode;
         cfg.lookahead = grid_lookahead;
 
-        CellResult scan;
-        CellResult indexed;
+        CellResult best;
         for (std::int64_t r = 0; r < repeat; ++r) {
-          cfg.use_index = false;
-          const CellResult s = runCell(spec, fitted.models, cfg);
-          cfg.use_index = true;
-          const CellResult i = runCell(spec, fitted.models, cfg);
-          if (r == 0 || s.wall_ms < scan.wall_ms) {
-            scan = s;
+          const CellResult run = runCell(spec, fitted.models, cfg);
+          if (r == 0 || run.wall_ms < best.wall_ms) {
+            best = run;
           }
-          if (r == 0 || i.wall_ms < indexed.wall_ms) {
-            indexed = i;
-          }
-        }
-        if (!sameDecisions(scan, indexed)) {
-          decisions_ok = false;
-          std::cout << "DECISION MISMATCH at " << nodes << " nodes x "
-                    << tasks << " tasks ("
-                    << experiments::algorithmName(algorithm) << ")\n";
-        }
-        const double speedup = scan.wall_ms / indexed.wall_ms;
-        if (nodes == 256 && tasks == 32 &&
-            algorithm == experiments::AlgorithmKind::kPredictive) {
-          headline_speedup = speedup;
         }
         t.addRow({static_cast<long long>(nodes),
                   static_cast<long long>(tasks),
-                  experiments::algorithmName(algorithm), scan.wall_ms,
-                  indexed.wall_ms, speedup, indexed.missed_pct,
-                  indexed.avg_replicas});
+                  experiments::algorithmName(algorithm), best.wall_ms,
+                  best.missed_pct, best.avg_replicas});
       }
     }
   }
@@ -431,19 +404,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!decisions_ok || !parity_ok) {
-    std::cout << "\nFAILED: "
-              << (!decisions_ok ? "indexed and scan modes diverged."
-                                : "sharded runs diverged across threads.")
-              << "\n";
+  if (!parity_ok) {
+    std::cout << "\nFAILED: sharded runs diverged across threads.\n";
     return 1;
-  }
-  std::cout << "\nDecision cross-check PASSED: indexed and scan modes "
-               "produced identical episodes.\n";
-  if (headline_speedup > 0.0) {
-    std::cout << "Headline (256 nodes x 32 tasks, predictive): "
-              << std::fixed << std::setprecision(2) << headline_speedup
-              << "x\n";
   }
   return 0;
 }

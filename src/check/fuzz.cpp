@@ -28,8 +28,9 @@ void appendCount(std::string& out, std::uint64_t v) {
 }
 
 /// One reconciliation line: appended only when the sources disagree.
-void reconcile(std::string& out, const char* what, std::uint64_t obs_value,
-               std::uint64_t metrics_value, std::uint64_t oracle_value) {
+void reconcile(std::string& out, const std::string& what,
+               std::uint64_t obs_value, std::uint64_t metrics_value,
+               std::uint64_t oracle_value) {
   if (obs_value == metrics_value && metrics_value == oracle_value) {
     return;
   }
@@ -40,6 +41,33 @@ void reconcile(std::string& out, const char* what, std::uint64_t obs_value,
 }
 
 }  // namespace
+
+const std::array<FuzzDimInfo, 6> kFuzzDims{{
+    {FuzzDim::kFaults, "faults",
+     "grow a fault schedule (crashes, throttles, frame loss, clock "
+     "outages) per seed",
+     "strip the fault schedule (shrink cap)"},
+    {FuzzDim::kManagerFaults, "manager-faults",
+     "grow a decentralized-plane dimension per seed (2-3 manager "
+     "endpoints plus a manager crash/restart schedule)",
+     "strip the decentralized-plane dimension (shrink cap)"},
+    {FuzzDim::kSched, "sched",
+     "grow a scheduler dimension per seed (the cluster draws one of "
+     "rr/fifo/priority/edf/rms/llf)",
+     "back to the Round-Robin baseline scheduler (shrink cap)"},
+    {FuzzDim::kPeriodAdjust, "period-adjust",
+     "grow an elastic-period dimension per seed (max_period bound plus "
+     "the manager's dilation lever)",
+     "strip the elastic-period dimension (shrink cap)"},
+    {FuzzDim::kNetTopology, "net-topology",
+     "grow a network-topology dimension per seed (bus or a 2-4 segment "
+     "switched fabric, line or star)",
+     "back to the shared bus (shrink cap)"},
+    {FuzzDim::kWorkloadMix, "workload-mix",
+     "grow a workload-mix dimension per seed (pareto / surge / multi "
+     "contender flows)",
+     "back to the paper workload family (shrink cap)"},
+}};
 
 std::string ShrinkSpec::cliFlags() const {
   std::string out;
@@ -52,23 +80,31 @@ std::string ShrinkSpec::cliFlags() const {
   if (flatten_workload) {
     out += " --flat";
   }
-  if (drop_faults) {
-    out += " --drop-faults";
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    if (dropped.has(d.dim)) {
+      out += " --drop-";
+      out += d.flag;
+    }
   }
-  if (drop_manager_faults) {
-    out += " --drop-manager-faults";
+  return out;
+}
+
+std::string reproLine(std::uint64_t seed, FuzzDims dims,
+                      const ShrinkSpec& shrink, const FuzzExecConfig& exec) {
+  std::string out = "fuzz_scenarios --replay-seed=" + std::to_string(seed);
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    if (dims.has(d.dim)) {
+      out += " --";
+      out += d.flag;
+    }
   }
-  if (drop_sched) {
-    out += " --drop-sched";
-  }
-  if (drop_period_adjust) {
-    out += " --drop-period-adjust";
-  }
-  if (drop_net_topology) {
-    out += " --drop-net-topology";
-  }
-  if (drop_workload_mix) {
-    out += " --drop-workload-mix";
+  out += shrink.cliFlags();
+  if (exec.sim_shards > 1) {
+    out += " --shards=" + std::to_string(exec.sim_shards);
+    out += " --sim-mode=";
+    out += parallel::simModeName(exec.sim_mode);
+    out += " --lookahead=";
+    out += parallel::lookaheadPolicyName(exec.lookahead);
   }
   return out;
 }
@@ -121,9 +157,7 @@ std::string FuzzScenario::summary() const {
 }
 
 FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
-                              bool with_faults, bool with_manager_faults,
-                              bool with_sched, bool with_period_adjust,
-                              bool with_net_topology, bool with_workload_mix) {
+                              FuzzDims dims) {
   // Every draw below happens unconditionally and in a fixed order, so the
   // same seed yields the same scenario no matter which caps apply.
   RngStreams streams(seed);
@@ -370,9 +404,11 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
       static_cast<std::size_t>(g.uniformInt(1, 4));
   const double contender_payload_draw = g.uniform(4000.0, 40000.0);
 
-  const bool apply_faults = with_faults && !shrink.drop_faults;
-  const bool apply_manager_faults =
-      with_manager_faults && !shrink.drop_manager_faults;
+  const auto applies = [&](FuzzDim d) {
+    return dims.has(d) && !shrink.dropped.has(d);
+  };
+  const bool apply_faults = applies(FuzzDim::kFaults);
+  const bool apply_manager_faults = applies(FuzzDim::kManagerFaults);
   if (apply_manager_faults) {
     s.managers = std::min(managers_draw, s.node_count);
     fault::ManagerCrashFault mc;
@@ -394,21 +430,21 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
   if (apply_faults || apply_manager_faults) {
     s.faults = std::move(plan);
   }
-  if (with_sched && !shrink.drop_sched) {
+  if (applies(FuzzDim::kSched)) {
     s.sched = sched_draw;
   }
-  if (with_period_adjust && !shrink.drop_period_adjust) {
+  if (applies(FuzzDim::kPeriodAdjust)) {
     s.spec.max_period = SimDuration::millis(period_ms * max_period_mult);
     s.manager.allow_period_adjust = true;
     s.manager.period_adjust_step = period_step_draw;
   }
-  if (with_net_topology && !shrink.drop_net_topology && net_switched_draw) {
+  if (applies(FuzzDim::kNetTopology) && net_switched_draw) {
     s.net_kind = net::NetKind::kSwitched;
     s.fabric.segments = std::min(segments_draw, s.node_count);
     s.fabric.topology = topo_draw;
     s.fabric.port_buffer_frames = port_buffer_draw;
   }
-  if (with_workload_mix && !shrink.drop_workload_mix) {
+  if (applies(FuzzDim::kWorkloadMix)) {
     s.workload_mix = mix_draw;
     if (mix_draw == workload::WorkloadMix::kPareto) {
       // Heavy-tailed rewrite of the offered table, anchored on the band
@@ -755,34 +791,40 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
     reconcile(r, "allocation-failures",
               tb.count(obs::RecordKind::kAllocFailure), m.allocation_failures,
               m.allocation_failures);
-    const obs::Counter* delivered =
-        obs->metrics.findCounter("net.messages_delivered");
-    reconcile(r, "deliveries", delivered != nullptr ? delivered->value() : 0,
+    const auto registry = [obs](const std::string& name) -> std::uint64_t {
+      const obs::Counter* c = obs->metrics.findCounter(name);
+      return c != nullptr ? c->value() : 0;
+    };
+    reconcile(r, "deliveries", registry("net.messages_delivered"),
               testbed.net().messagesDelivered(),
               oracle.receiptsObserved());
-    const obs::Counter* reg_misses =
-        obs->metrics.findCounter("core.missed_deadlines");
-    reconcile(r, "registry-misses",
-              reg_misses != nullptr ? reg_misses->value() : 0,
+    reconcile(r, "registry-misses", registry("core.missed_deadlines"),
               m.missed_deadlines.hits(), oracle.missesObserved());
-    const obs::Counter* reg_repl =
-        obs->metrics.findCounter("core.replicate_actions");
     reconcile(r, "registry-replications",
-              reg_repl != nullptr ? reg_repl->value() : 0,
-              m.replicate_actions, oracle.effectiveAllocationsObserved());
+              registry("core.replicate_actions"), m.replicate_actions,
+              oracle.effectiveAllocationsObserved());
+    // Each detector's heartbeats and declarations, under its own names.
+    for (const fault::FailureDetector* det :
+         {episode.nodeDetector(), episode.managerDetector()}) {
+      if (det == nullptr) {
+        continue;
+      }
+      const std::string p = det->metricsPrefix();
+      reconcile(r, p + "heartbeats_sent", registry(p + "heartbeats_sent"),
+                det->heartbeatsSent(), det->heartbeatsSent());
+      reconcile(r, p + "declared_dead", registry(p + "declared_dead"),
+                det->declaredDead(), det->declaredDead());
+      reconcile(r, p + "declared_recovered",
+                registry(p + "declared_recovered"), det->declaredRecovered(),
+                det->declaredRecovered());
+    }
   }
   return out;
 }
 
 FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
-                        bool with_faults, const FuzzExecConfig& exec,
-                        bool with_manager_faults, bool with_sched,
-                        bool with_period_adjust, bool with_net_topology,
-                        bool with_workload_mix) {
-  const FuzzScenario scenario =
-      makeFuzzScenario(seed, shrink, with_faults, with_manager_faults,
-                       with_sched, with_period_adjust, with_net_topology,
-                       with_workload_mix);
+                        FuzzDims dims, const FuzzExecConfig& exec) {
+  const FuzzScenario scenario = makeFuzzScenario(seed, shrink, dims);
   FuzzOutcome out;
   for (const AllocatorKind kind :
        {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
@@ -823,73 +865,29 @@ FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
 }
 
 ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
-                    const FailsFn& fails, bool with_faults,
-                    bool with_manager_faults, bool with_sched,
-                    bool with_period_adjust, bool with_net_topology,
-                    bool with_workload_mix) {
+                    const FailsFn& fails, FuzzDims dims) {
   ShrinkSpec current = initial;
   bool improved = true;
   while (improved) {
     improved = false;
     const FuzzScenario s = makeFuzzScenario(seed, current);
 
-    // Simplest explanation first: does the failure survive on the shared
-    // bus, with the paper workload family, on the baseline scheduler,
-    // without the elastic lever, without the decentralized-plane
-    // dimension, or without any faults at all?
-    if (with_net_topology && !current.drop_net_topology) {
+    // Simplest explanation first: does the failure survive with one more
+    // dimension dropped?
+    for (const FuzzDim dim : kFuzzShrinkOrder) {
+      if (!dims.has(dim) || current.dropped.has(dim)) {
+        continue;
+      }
       ShrinkSpec c = current;
-      c.drop_net_topology = true;
+      c.dropped.add(dim);
       if (fails(seed, c)) {
         current = c;
         improved = true;
-        continue;
+        break;
       }
     }
-    if (with_workload_mix && !current.drop_workload_mix) {
-      ShrinkSpec c = current;
-      c.drop_workload_mix = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_sched && !current.drop_sched) {
-      ShrinkSpec c = current;
-      c.drop_sched = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_period_adjust && !current.drop_period_adjust) {
-      ShrinkSpec c = current;
-      c.drop_period_adjust = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_manager_faults && !current.drop_manager_faults) {
-      ShrinkSpec c = current;
-      c.drop_manager_faults = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_faults && !current.drop_faults) {
-      ShrinkSpec c = current;
-      c.drop_faults = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
+    if (improved) {
+      continue;
     }
 
     // Fewer subtasks: jump straight to the floor, else one less.

@@ -1,57 +1,49 @@
 // Deterministic scenario fuzzer over the full simulated stack.
 //
-// Every scenario is a pure function of (seed, ShrinkSpec): cluster size,
-// task pipeline, workload table (composed ramps / bursts / dropouts),
-// background-load schedule, and an optional co-resident workload poster are
-// all drawn from a named RNG stream. Each scenario runs under both the
-// predictive (Fig. 5) and non-predictive (Fig. 7) allocators with the
-// InvariantOracle watching every event, and is run twice per allocator to
-// prove same-seed replay produces a byte-identical trace digest.
+// Every scenario is a pure function of (seed, ShrinkSpec, FuzzDims):
+// cluster size, task pipeline, workload table (composed ramps / bursts /
+// dropouts), background-load schedule, and an optional co-resident
+// workload poster are all drawn from a named RNG stream. Each scenario runs
+// under both the predictive (Fig. 5) and non-predictive (Fig. 7) allocators
+// with the InvariantOracle watching every event, and is run twice per
+// allocator to prove same-seed replay produces a byte-identical trace
+// digest.
 //
 // Shrinking works by *capping* the generated scenario after all RNG draws
 // (truncate subtasks, truncate the horizon, flatten the workload to its
-// mean) — the draws themselves never change, so a failing seed stays the
-// same scenario family while it shrinks to a minimal reproducer.
+// mean, drop a dimension) — the draws themselves never change, so a
+// failing seed stays the same scenario family while it shrinks to a
+// minimal reproducer.
 //
-// With faults enabled (--faults) every seed additionally grows a fault
-// schedule — node crashes (with optional restart), CPU throttle windows,
-// frame loss/duplication windows, clock-sync outages — injected through
-// fault::FaultInjector with a heartbeat FailureDetector driving the
-// manager's failover path. The fault draws are appended *after* every
-// base-scenario draw, so the base scenario of a seed is byte-identical
-// with and without faults, and `drop_faults` is just one more shrink cap.
-//
-// With manager faults additionally enabled (--manager-faults) every seed
-// draws a decentralized-plane dimension — a manager-endpoint count of 2-3
-// and one manager crash (with optional restart) — appended after the node
-// fault draws, so both the base scenario and the node-fault schedule of a
-// seed stay byte-identical with and without it. The run then builds a
-// core::ManagementPlane, a second target-mode FailureDetector over the
-// manager endpoints, and the plane invariants (election uniqueness, no
-// deposed decisions, bounded gossip staleness) join the oracle.
-//
-// With the scheduler dimension enabled (--sched) every seed additionally
-// draws a node scheduling policy (RR/FIFO/priority/EDF/RMS/LLF) for the
-// whole cluster, and with elastic periods enabled (--period-adjust) an
-// elastic bound plus adjustment step for the manager's period lever. Both
-// draws are appended after the manager-plane draws, so every narrower
-// configuration of the same seed is byte-identical, and each dimension is
-// one more shrink cap (drop_sched / drop_period_adjust).
-//
-// With the network-topology dimension enabled (--net-topology) every seed
-// draws a network substrate — bus, or a switched fabric with 2-4 segments,
-// line or star topology, and a bounded port buffer — and with the
-// workload-mix dimension enabled (--workload-mix) a workload family
-// (pareto / surge / multi) whose parameters ride on the band already drawn
-// for the base table. Both draws are appended after the sched/period
-// draws, so the `--drop-net-topology` / `--drop-workload-mix` caps
-// reproduce the base digests byte for byte. Switched runs additionally
-// check the fabric's frame-conservation invariant at the end of the run.
+// Six opt-in dimensions (FuzzDim) widen the family. Every seed draws all of
+// them, strictly after every base-scenario draw and in a fixed order, so
+// the base scenario of a seed is byte-identical whichever dimensions apply,
+// and dropping one (ShrinkSpec::dropped) is just one more cap:
+//   - faults: node crashes (with optional restart), CPU throttle windows,
+//     frame loss/duplication windows and clock-sync outages, injected
+//     through fault::FaultInjector with a heartbeat FailureDetector driving
+//     the manager's failover path;
+//   - manager-faults: a decentralized plane of 2-3 manager endpoints and
+//     one manager crash (with optional restart), watched by a second,
+//     target-mode FailureDetector; the plane invariants (election
+//     uniqueness, no deposed decisions, bounded gossip staleness) join the
+//     oracle;
+//   - sched: one node scheduling policy (RR/FIFO/priority/EDF/RMS/LLF) for
+//     the whole cluster;
+//   - period-adjust: an elastic period bound plus the manager's adjustment
+//     step;
+//   - net-topology: bus, or a switched fabric with 2-4 segments, line or
+//     star topology and a bounded port buffer; switched runs also check the
+//     fabric's frame conservation at the end of the run;
+//   - workload-mix: a workload family (pareto / surge / multi) whose
+//     parameters ride on the band already drawn for the base table.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -73,7 +65,63 @@ struct Observability;
 
 namespace rtdrm::check {
 
-/// Caps the shrinker applies to a generated scenario (0 / false = uncapped).
+/// One opt-in fuzz dimension (see the file comment). `--<flag>` grows it,
+/// `--drop-<flag>` is its shrink cap.
+enum class FuzzDim : std::uint8_t {
+  kFaults,
+  kManagerFaults,
+  kSched,
+  kPeriodAdjust,
+  kNetTopology,
+  kWorkloadMix,
+};
+
+/// A dimension's command-line spelling and help texts.
+struct FuzzDimInfo {
+  FuzzDim dim;
+  const char* flag;       ///< grow flag name, without the leading dashes
+  const char* help;       ///< help text of --<flag>
+  const char* drop_help;  ///< help text of --drop-<flag>
+};
+
+/// Every dimension, in enumerator order: the order the fuzzer registers
+/// and prints their flags in.
+extern const std::array<FuzzDimInfo, 6> kFuzzDims;
+
+/// The order minimize() tries dropping dimensions, simplest explanation
+/// first: the shared bus, the paper workload family, the Round-Robin
+/// baseline, no elastic lever, one manager, no faults. The greedy result
+/// depends on this order.
+inline constexpr std::array<FuzzDim, 6> kFuzzShrinkOrder{
+    FuzzDim::kNetTopology,  FuzzDim::kWorkloadMix,   FuzzDim::kSched,
+    FuzzDim::kPeriodAdjust, FuzzDim::kManagerFaults, FuzzDim::kFaults};
+
+/// A set of fuzz dimensions.
+class FuzzDims {
+ public:
+  constexpr FuzzDims() = default;
+  constexpr FuzzDims(std::initializer_list<FuzzDim> dims) {
+    for (const FuzzDim d : dims) {
+      add(d);
+    }
+  }
+  constexpr bool has(FuzzDim d) const { return (bits_ & bit(d)) != 0; }
+  constexpr FuzzDims& add(FuzzDim d) {
+    bits_ = static_cast<std::uint8_t>(bits_ | bit(d));
+    return *this;
+  }
+  constexpr bool empty() const { return bits_ == 0; }
+  constexpr bool operator==(const FuzzDims&) const = default;
+
+ private:
+  static constexpr std::uint8_t bit(FuzzDim d) {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(d));
+  }
+  std::uint8_t bits_ = 0;
+};
+
+/// Caps the shrinker applies to a generated scenario (0 / false / empty =
+/// uncapped).
 struct ShrinkSpec {
   /// Keep at most this many subtasks (floor 2; 0 = uncapped).
   std::size_t max_subtasks = 0;
@@ -81,28 +129,13 @@ struct ShrinkSpec {
   std::uint64_t max_periods = 0;
   /// Replace the workload table with a constant at its mean.
   bool flatten_workload = false;
-  /// Strip the fault schedule (only meaningful when faults are enabled).
-  bool drop_faults = false;
-  /// Strip the decentralized-plane dimension: back to one manager and no
-  /// manager crashes (only meaningful when manager faults are enabled).
-  bool drop_manager_faults = false;
-  /// Back to the Round-Robin baseline scheduler (only meaningful when the
-  /// scheduler dimension is enabled).
-  bool drop_sched = false;
-  /// Strip the elastic-period dimension: inelastic spec, lever off (only
-  /// meaningful when period adjustment is enabled).
-  bool drop_period_adjust = false;
-  /// Back to the shared bus (only meaningful when the network-topology
-  /// dimension is enabled).
-  bool drop_net_topology = false;
-  /// Back to the paper workload family (only meaningful when the
-  /// workload-mix dimension is enabled).
-  bool drop_workload_mix = false;
+  /// Dimensions stripped back to the base scenario (only meaningful for
+  /// dimensions the scenario is generated with).
+  FuzzDims dropped;
 
   bool unshrunk() const {
     return max_subtasks == 0 && max_periods == 0 && !flatten_workload &&
-           !drop_faults && !drop_manager_faults && !drop_sched &&
-           !drop_period_adjust && !drop_net_topology && !drop_workload_mix;
+           dropped.empty();
   }
   /// Command-line fragment reproducing these caps (" --max-subtasks=3 ...";
   /// empty when unshrunk).
@@ -182,18 +215,12 @@ struct FuzzScenario {
   std::string summary() const;
 };
 
-/// Generates the scenario for `seed` under the given caps. Caps only
-/// truncate/flatten the already-drawn scenario, so every cap combination of
-/// the same seed shares the same underlying draws. `with_faults` attaches
-/// the seed's fault schedule (drawn either way, appended after every base
-/// draw, so the base scenario is identical with and without it).
+/// Generates the scenario for `seed` under the given caps, widened by
+/// `dims`. Caps only truncate/flatten the already-drawn scenario, and every
+/// dimension is drawn either way, so every (caps, dims) combination of the
+/// same seed shares the same underlying draws.
 FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink = {},
-                              bool with_faults = false,
-                              bool with_manager_faults = false,
-                              bool with_sched = false,
-                              bool with_period_adjust = false,
-                              bool with_net_topology = false,
-                              bool with_workload_mix = false);
+                              FuzzDims dims = {});
 
 /// The allocator a fuzz case runs under (experiments::algorithmName()
 /// names it).
@@ -213,6 +240,12 @@ struct FuzzExecConfig {
   /// runs identical (seed, shards) pairs in both and compares.
   parallel::LookaheadPolicy lookahead = parallel::LookaheadPolicy::kAdaptive;
 };
+
+/// The `fuzz_scenarios` command line that replays `seed` under these
+/// dimensions, caps and execution settings (the engine flags only when
+/// sharded).
+std::string reproLine(std::uint64_t seed, FuzzDims dims,
+                      const ShrinkSpec& shrink, const FuzzExecConfig& exec);
 
 /// Outcome of one scenario run under one allocator.
 struct FuzzCaseResult {
@@ -265,28 +298,17 @@ struct FuzzOutcome {
 };
 
 FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink = {},
-                        bool with_faults = false,
-                        const FuzzExecConfig& exec = {},
-                        bool with_manager_faults = false,
-                        bool with_sched = false,
-                        bool with_period_adjust = false,
-                        bool with_net_topology = false,
-                        bool with_workload_mix = false);
+                        FuzzDims dims = {}, const FuzzExecConfig& exec = {});
 
 /// Failure predicate: does `seed` under these caps still fail?
 using FailsFn = std::function<bool(std::uint64_t, const ShrinkSpec&)>;
 
 /// Greedy shrink: starting from `initial` (which must fail), repeatedly
-/// tries harsher caps — dropped faults (when enabled), fewer subtasks,
-/// shorter horizon, flat workload — keeping each cap that still fails,
-/// until no harsher cap does. Returns the harshest failing ShrinkSpec
-/// found.
+/// tries harsher caps — each enabled dimension dropped (in
+/// kFuzzShrinkOrder), fewer subtasks, shorter horizon, flat workload —
+/// keeping each cap that still fails, until no harsher cap does. Returns
+/// the harshest failing ShrinkSpec found.
 ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
-                    const FailsFn& fails, bool with_faults = false,
-                    bool with_manager_faults = false,
-                    bool with_sched = false,
-                    bool with_period_adjust = false,
-                    bool with_net_topology = false,
-                    bool with_workload_mix = false);
+                    const FailsFn& fails, FuzzDims dims = {});
 
 }  // namespace rtdrm::check

@@ -266,8 +266,6 @@ void Episode::run(SimDuration horizon) {
       plane_->exportMetrics(reg);
       manager_detector_->exportMetrics(reg);
     }
-    // Both detectors publish under "fault." names; the node detector's
-    // counts are the ones that remain.
     if (node_detector_ != nullptr) {
       node_detector_->exportMetrics(reg);
     }

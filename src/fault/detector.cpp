@@ -1,5 +1,6 @@
 #include "fault/detector.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -178,11 +179,12 @@ void FailureDetector::onAck(std::size_t slot) {
 }
 
 void FailureDetector::exportMetrics(obs::MetricsRegistry& reg) const {
-  reg.counter("fault.heartbeats_sent").set(heartbeats_sent_);
-  reg.counter("fault.acks_received").set(acks_received_);
-  reg.counter("fault.retries_sent").set(retries_sent_);
-  reg.counter("fault.declared_dead").set(declared_dead_);
-  reg.counter("fault.declared_recovered").set(declared_recovered_);
+  const std::string prefix = metricsPrefix();
+  reg.counter(prefix + "heartbeats_sent").set(heartbeats_sent_);
+  reg.counter(prefix + "acks_received").set(acks_received_);
+  reg.counter(prefix + "retries_sent").set(retries_sent_);
+  reg.counter(prefix + "declared_dead").set(declared_dead_);
+  reg.counter(prefix + "declared_recovered").set(declared_recovered_);
 }
 
 }  // namespace rtdrm::fault

@@ -105,7 +105,13 @@ class FailureDetector {
   std::uint64_t declaredDead() const { return declared_dead_; }
   std::uint64_t declaredRecovered() const { return declared_recovered_; }
 
-  /// Publishes detector counters into `reg` under "fault." names.
+  /// Prefix of the exported counter names: "fault." in node mode,
+  /// "fault.target." in target mode, so a run with both detectors keeps
+  /// both sets.
+  const char* metricsPrefix() const {
+    return node_mode_ ? "fault." : "fault.target.";
+  }
+  /// Publishes detector counters into `reg` under metricsPrefix() names.
   void exportMetrics(obs::MetricsRegistry& reg) const;
 
  private:

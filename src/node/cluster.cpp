@@ -270,30 +270,8 @@ void Cluster::rebuildIndex() const {
   ++index_rebuilds_;
 }
 
-std::optional<ProcessorId> Cluster::leastUtilizedScan(
-    const std::vector<ProcessorId>& exclude) const {
-  std::optional<ProcessorId> best;
-  double best_u = 0.0;
-  for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
-    const ProcessorId id{i};
-    if (!nodeUp(i) ||
-        std::find(exclude.begin(), exclude.end(), id) != exclude.end()) {
-      continue;
-    }
-    const double u = last_sample_[i].value();
-    if (!best || u < best_u) {
-      best = id;
-      best_u = u;
-    }
-  }
-  return best;
-}
-
 std::optional<ProcessorId> Cluster::leastUtilized(
     const std::vector<ProcessorId>& exclude) const {
-  if (!index_enabled_) {
-    return leastUtilizedScan(exclude);
-  }
   if (index_generation_ != sample_generation_) {
     rebuildIndex();
   }
@@ -339,13 +317,7 @@ std::optional<ProcessorId> Cluster::leastUtilized(
 
 Cluster::UtilizationCursor::UtilizationCursor(
     const Cluster& cluster, const std::vector<ProcessorId>& exclude)
-    : cluster_(&cluster), use_index_(cluster.index_enabled_) {
-  if (!use_index_) {
-    // Reference mode reproduces the seed's cost model: one full scan per
-    // yield, against the accumulated exclusion list.
-    scan_exclude_ = exclude;
-    return;
-  }
+    : cluster_(&cluster) {
   if (cluster.index_generation_ != cluster.sample_generation_) {
     cluster.rebuildIndex();
   }
@@ -363,13 +335,6 @@ Cluster::UtilizationCursor::UtilizationCursor(
 
 std::optional<ProcessorId> Cluster::UtilizationCursor::next() {
   ++cluster_->cursor_advances_;
-  if (!use_index_) {
-    const auto got = cluster_->leastUtilizedScan(scan_exclude_);
-    if (got) {
-      scan_exclude_.push_back(*got);
-    }
-    return got;
-  }
   RTDRM_ASSERT_MSG(generation_ == cluster_->sample_generation_,
                    "utilization cursor outlived its sample");
   // Best-first over the 4-ary heap, children pushed on every pop: keys
@@ -405,21 +370,13 @@ const std::vector<ProcessorId>& Cluster::belowUtilization(
     Utilization limit) const {
   below_scratch_.clear();
   const double lim = limit.value();
-  if (!index_enabled_) {
-    for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
-      if (nodeUp(i) && last_sample_[i].value() < lim) {
-        below_scratch_.push_back(ProcessorId{i});
-      }
-    }
-    return below_scratch_;
-  }
   if (index_generation_ != sample_generation_) {
     rebuildIndex();
   }
   // Pruned DFS: a subtree whose root is already at or above the limit
   // cannot contain a below-limit node. Matches are then put in ascending
-  // id order — the order Fig. 7 adds them in, and the order the scan
-  // produced — so downstream decisions are unchanged.
+  // id order — the order Fig. 7 adds them in, and the order a linear scan
+  // produces — so downstream decisions are unchanged.
   frontier_.clear();
   const std::size_t n = util_heap_.size();
   if (n > 0 && util_heap_[0].u < lim) {

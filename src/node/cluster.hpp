@@ -71,9 +71,8 @@ class Cluster {
   /// Crash or restart a node. Forwards to Processor::setUp (a crash aborts
   /// every resident job) and masks/unmasks the node in the utilization
   /// index: down nodes are invisible to leastUtilized(),
-  /// belowUtilization() and cursors — in both indexed and reference-scan
-  /// modes — so no allocator can place work on them. Invalidates the index
-  /// and any outstanding cursors.
+  /// belowUtilization() and cursors, so no allocator can place work on
+  /// them. Invalidates the index and any outstanding cursors.
   void setNodeUp(ProcessorId id, bool up);
   bool isUp(ProcessorId id) const {
     RTDRM_ASSERT(id.value < cpus_.size());
@@ -127,8 +126,7 @@ class Cluster {
   /// Ties break toward the lower node id, matching the deterministic
   /// "pmin" selection in the paper's Fig. 5 step 3. Served by the
   /// utilization min-index: O(|exclude| log |exclude|) per call after an
-  /// amortized O(P) rebuild per sample, vs the reference scan's
-  /// O(P·|exclude|).
+  /// amortized O(P) rebuild per sample, vs a linear scan's O(P·|exclude|).
   std::optional<ProcessorId> leastUtilized(
       const std::vector<ProcessorId>& exclude) const;
 
@@ -156,24 +154,14 @@ class Cluster {
                       const std::vector<ProcessorId>& exclude);
 
     const Cluster* cluster_;
-    bool use_index_;
     std::uint64_t generation_ = 0;             ///< staleness guard
     std::vector<std::uint64_t> exclude_bits_;  ///< cursor-owned (not scratch)
     std::vector<std::uint32_t> frontier_;
-    std::vector<ProcessorId> scan_exclude_;    ///< scan-fallback state
   };
   UtilizationCursor utilizationCursor(
       const std::vector<ProcessorId>& exclude) const {
     return UtilizationCursor(*this, exclude);
   }
-
-  /// Benchmark/test escape hatch: route leastUtilized() and
-  /// belowUtilization() through the seed's linear scans instead of the
-  /// index. Both paths are decision-identical; bench_scale uses this to
-  /// measure indexed-vs-scan on one build, and tests use it as the
-  /// reference oracle.
-  void setUtilizationIndexEnabled(bool enabled) { index_enabled_ = enabled; }
-  bool utilizationIndexEnabled() const { return index_enabled_; }
 
   sim::Simulator& simulator() { return sim_; }
 
@@ -204,9 +192,6 @@ class Cluster {
   /// Rebuilds the 4-ary heap from last_sample_ and stamps it with the
   /// current sample generation.
   void rebuildIndex() const;
-  /// The seed's O(P·|exclude|) reference implementation.
-  std::optional<ProcessorId> leastUtilizedScan(
-      const std::vector<ProcessorId>& exclude) const;
 
   /// Common construction tail: builds processors/probes over simOf().
   void buildNodes(std::size_t node_count, const ProcessorConfig& cpu_config,
@@ -244,7 +229,6 @@ class Cluster {
   // --- utilization min-index (mutable: rebuilt lazily from const queries;
   // the cluster is single-threaded by design, like the simulator it runs
   // on).
-  bool index_enabled_ = true;
   std::uint64_t sample_generation_ = 1;          ///< bumped per sample
   mutable std::uint64_t index_generation_ = 0;   ///< generation heap holds
   mutable std::vector<UtilEntry> util_heap_;     ///< 4-ary min-heap

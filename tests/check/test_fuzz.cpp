@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace rtdrm::check {
 namespace {
 
@@ -93,8 +96,7 @@ TEST(MakeFuzzScenario, SchedDimensionIsAppendOnly) {
   bool any_non_rr = false;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const FuzzScenario base = makeFuzzScenario(seed);
-    const FuzzScenario sched =
-        makeFuzzScenario(seed, {}, false, false, /*with_sched=*/true);
+    const FuzzScenario sched = makeFuzzScenario(seed, {}, {FuzzDim::kSched});
     any_non_rr = any_non_rr || sched.sched != node::SchedPolicy::kRoundRobin;
     EXPECT_EQ(base.workload_tracks, sched.workload_tracks);
     EXPECT_EQ(base.node_count, sched.node_count);
@@ -102,9 +104,9 @@ TEST(MakeFuzzScenario, SchedDimensionIsAppendOnly) {
     EXPECT_EQ(base.sched, node::SchedPolicy::kRoundRobin);
     // The shrink cap restores the Round-Robin baseline exactly.
     ShrinkSpec drop;
-    drop.drop_sched = true;
+    drop.dropped.add(FuzzDim::kSched);
     const FuzzScenario dropped =
-        makeFuzzScenario(seed, drop, false, false, /*with_sched=*/true);
+        makeFuzzScenario(seed, drop, {FuzzDim::kSched});
     EXPECT_EQ(dropped.sched, node::SchedPolicy::kRoundRobin);
     EXPECT_EQ(dropped.summary(), base.summary());
   }
@@ -114,9 +116,8 @@ TEST(MakeFuzzScenario, SchedDimensionIsAppendOnly) {
 TEST(MakeFuzzScenario, PeriodAdjustDimensionIsAppendOnly) {
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const FuzzScenario base = makeFuzzScenario(seed);
-    const FuzzScenario elastic = makeFuzzScenario(seed, {}, false, false,
-                                                  false,
-                                                  /*with_period_adjust=*/true);
+    const FuzzScenario elastic =
+        makeFuzzScenario(seed, {}, {FuzzDim::kPeriodAdjust});
     EXPECT_TRUE(elastic.manager.allow_period_adjust);
     EXPECT_GT(elastic.spec.max_period, elastic.spec.period);
     EXPECT_LE(elastic.spec.max_period.ms(), elastic.spec.period.ms() * 2.5);
@@ -124,10 +125,9 @@ TEST(MakeFuzzScenario, PeriodAdjustDimensionIsAppendOnly) {
     EXPECT_EQ(base.spec.period.ms(), elastic.spec.period.ms());
     EXPECT_FALSE(base.manager.allow_period_adjust);
     ShrinkSpec drop;
-    drop.drop_period_adjust = true;
-    const FuzzScenario dropped = makeFuzzScenario(seed, drop, false, false,
-                                                  false,
-                                                  /*with_period_adjust=*/true);
+    drop.dropped.add(FuzzDim::kPeriodAdjust);
+    const FuzzScenario dropped =
+        makeFuzzScenario(seed, drop, {FuzzDim::kPeriodAdjust});
     EXPECT_FALSE(dropped.manager.allow_period_adjust);
     EXPECT_EQ(dropped.spec.max_period, SimDuration::zero());
     EXPECT_EQ(dropped.summary(), base.summary());
@@ -136,28 +136,55 @@ TEST(MakeFuzzScenario, PeriodAdjustDimensionIsAppendOnly) {
 
 TEST(RunFuzzSeed, SchedAndPeriodAdjustSeedsRunClean) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const FuzzOutcome out = runFuzzSeed(seed, {}, false, {}, false,
-                                        /*with_sched=*/true,
-                                        /*with_period_adjust=*/true);
+    const FuzzOutcome out = runFuzzSeed(
+        seed, {}, {FuzzDim::kSched, FuzzDim::kPeriodAdjust});
     EXPECT_FALSE(out.failed()) << "seed " << seed << ": " << out.detail;
     EXPECT_GT(out.checks, 0u);
   }
 }
 
 TEST(RunFuzzCase, DroppedDimensionsReproduceBaselineDigest) {
-  // The in-binary neutrality gate: generating with both new dimensions
-  // enabled but shrink-capped away must replay the exact baseline digest —
-  // the dispatch seam and the dormant lever leave no trace.
-  ShrinkSpec drop;
-  drop.drop_sched = true;
-  drop.drop_period_adjust = true;
+  // The in-binary neutrality gate: generating with a dimension enabled but
+  // shrink-capped away must replay the exact baseline digest — its draws
+  // and its dormant code paths leave no trace. Each dimension alone, then
+  // all six together, over short capped scenarios under both allocators
+  // and two uncapped ones.
+  ShrinkSpec capped;
+  capped.max_subtasks = 3;
+  capped.max_periods = 6;
+  struct Case {
+    std::uint64_t seed;
+    ShrinkSpec caps;
+    AllocatorKind kind;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    cases.push_back({seed, capped,
+                     seed % 2 == 0 ? AllocatorKind::kPredictive
+                                   : AllocatorKind::kNonPredictive});
+  }
   for (std::uint64_t seed = 4; seed < 6; ++seed) {
+    cases.push_back({seed, ShrinkSpec{}, AllocatorKind::kPredictive});
+  }
+  std::vector<FuzzDims> sets;
+  FuzzDims all;
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    sets.push_back({d.dim});
+    all.add(d.dim);
+  }
+  sets.push_back(all);
+  for (const Case& c : cases) {
     const FuzzCaseResult base =
-        runFuzzCase(makeFuzzScenario(seed), AllocatorKind::kPredictive);
-    const FuzzCaseResult gated = runFuzzCase(
-        makeFuzzScenario(seed, drop, false, false, true, true),
-        AllocatorKind::kPredictive);
-    EXPECT_EQ(base.digest, gated.digest) << "seed " << seed;
+        runFuzzCase(makeFuzzScenario(c.seed, c.caps), c.kind);
+    ASSERT_FALSE(base.digest.empty());
+    for (const FuzzDims dims : sets) {
+      ShrinkSpec dropped = c.caps;
+      dropped.dropped = dims;
+      const FuzzCaseResult gated =
+          runFuzzCase(makeFuzzScenario(c.seed, dropped, dims), c.kind);
+      EXPECT_EQ(base.digest, gated.digest)
+          << "seed " << c.seed << " dropped" << dropped.cliFlags();
+    }
   }
 }
 
@@ -175,11 +202,52 @@ TEST(ShrinkSpec, CliFlagsRoundTripTheCaps) {
   s.max_periods = 8;
   s.flatten_workload = true;
   EXPECT_EQ(s.cliFlags(), " --max-subtasks=3 --max-periods=8 --flat");
-  s.drop_sched = true;
-  s.drop_period_adjust = true;
+  // Each dimension's cap is its own --drop-<flag>.
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    ShrinkSpec one;
+    one.dropped.add(d.dim);
+    EXPECT_EQ(one.cliFlags(), std::string(" --drop-") + d.flag);
+    EXPECT_FALSE(one.unshrunk());
+  }
+  // All six at once, in enumerator order, after the size caps.
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    s.dropped.add(d.dim);
+  }
   EXPECT_EQ(s.cliFlags(),
-            " --max-subtasks=3 --max-periods=8 --flat --drop-sched"
-            " --drop-period-adjust");
+            " --max-subtasks=3 --max-periods=8 --flat --drop-faults"
+            " --drop-manager-faults --drop-sched --drop-period-adjust"
+            " --drop-net-topology --drop-workload-mix");
+}
+
+TEST(ReproLine, SingleQueueRunAddsNoEngineFlags) {
+  ShrinkSpec s;
+  s.max_subtasks = 2;
+  s.max_periods = 3;
+  s.flatten_workload = true;
+  s.dropped.add(FuzzDim::kWorkloadMix);
+  EXPECT_EQ(reproLine(185, {FuzzDim::kManagerFaults, FuzzDim::kWorkloadMix},
+                      s, {}),
+            "fuzz_scenarios --replay-seed=185 --manager-faults"
+            " --workload-mix --max-subtasks=2 --max-periods=3 --flat"
+            " --drop-workload-mix");
+  EXPECT_EQ(reproLine(7, {}, {}, {}), "fuzz_scenarios --replay-seed=7");
+}
+
+TEST(ReproLine, ShardedRunReplaysOnTheSameEngine) {
+  FuzzExecConfig exec;
+  exec.sim_shards = 4;
+  exec.sim_mode = parallel::SimMode::kFast;
+  EXPECT_EQ(reproLine(1096, {FuzzDim::kFaults, FuzzDim::kManagerFaults}, {},
+                      exec),
+            "fuzz_scenarios --replay-seed=1096 --faults --manager-faults"
+            " --shards=4 --sim-mode=fast --lookahead=adaptive");
+  exec.sim_mode = parallel::SimMode::kDeterministic;
+  exec.lookahead = parallel::LookaheadPolicy::kStatic;
+  ShrinkSpec s;
+  s.max_periods = 5;
+  EXPECT_EQ(reproLine(3, {FuzzDim::kSched}, s, exec),
+            "fuzz_scenarios --replay-seed=3 --sched --max-periods=5"
+            " --shards=4 --sim-mode=det --lookahead=static");
 }
 
 TEST(RunFuzzSeed, CleanSeedsPassBothAllocatorsAndReplay) {
@@ -196,8 +264,7 @@ TEST(RunFuzzSeed, CleanSeedsPassBothAllocatorsAndReplay) {
 // before its manager was deposed used to land after the handover
 // (`--manager-faults --replay-seed 193`: plane-deposed-decision).
 TEST(RunFuzzSeed, DeposedManagersDeferredPlacementNeverLands) {
-  const FuzzOutcome out = runFuzzSeed(193, {}, /*with_faults=*/false, {},
-                                      /*with_manager_faults=*/true);
+  const FuzzOutcome out = runFuzzSeed(193, {}, {FuzzDim::kManagerFaults});
   EXPECT_FALSE(out.failed()) << out.detail;
   EXPECT_GT(out.checks, 0u);
 }
@@ -209,7 +276,7 @@ TEST(RunFuzzSeed, DeposedManagersDeferredPlacementNeverLands) {
 // seed 2367 likewise).
 TEST(RunFuzzSeed, DeferredPlacementNeverLandsOnCrashedNode) {
   for (const std::uint64_t seed : {738u, 2367u}) {
-    const FuzzOutcome out = runFuzzSeed(seed, {}, /*with_faults=*/true);
+    const FuzzOutcome out = runFuzzSeed(seed, {}, {FuzzDim::kFaults});
     EXPECT_FALSE(out.failed()) << "seed " << seed << ": " << out.detail;
     EXPECT_GT(out.checks, 0u);
   }
@@ -220,8 +287,8 @@ TEST(RunFuzzSeed, DeferredPlacementNeverLandsOnCrashedNode) {
 // in between stayed queued and kept hosting its stage (`--faults
 // --manager-faults --replay-seed 1668`: fault-recovery-deadline).
 TEST(RunFuzzSeed, ActiveRestartRepairsFailuresQueuedInTheGap) {
-  const FuzzOutcome out = runFuzzSeed(1668, {}, /*with_faults=*/true, {},
-                                      /*with_manager_faults=*/true);
+  const FuzzOutcome out =
+      runFuzzSeed(1668, {}, {FuzzDim::kFaults, FuzzDim::kManagerFaults});
   EXPECT_FALSE(out.failed()) << out.detail;
   EXPECT_GT(out.checks, 0u);
 }
@@ -267,6 +334,51 @@ TEST(Minimize, FindsTheBoundaryOfAHorizonPredicate) {
   // shrink to their floors too.
   EXPECT_EQ(makeFuzzScenario(seed, minimal).periods, 13u);
   EXPECT_TRUE(fails(seed, minimal));
+}
+
+TEST(Minimize, DropsDimensionsInTheFixedOrder) {
+  // Every harsher cap fails, so each pass keeps the first dimension it
+  // tries: the drops land one at a time in kFuzzShrinkOrder, and only for
+  // dimensions the scenario is generated with.
+  FuzzDims all;
+  for (const FuzzDimInfo& d : kFuzzDims) {
+    all.add(d.dim);
+  }
+  std::vector<FuzzDims> tried;
+  const ShrinkSpec minimal =
+      minimize(11, {},
+               [&tried](std::uint64_t, const ShrinkSpec& c) {
+                 tried.push_back(c.dropped);
+                 return true;
+               },
+               all);
+  EXPECT_EQ(minimal.dropped, all);
+  const std::vector<FuzzDim> order{
+      FuzzDim::kNetTopology,  FuzzDim::kWorkloadMix,   FuzzDim::kSched,
+      FuzzDim::kPeriodAdjust, FuzzDim::kManagerFaults, FuzzDim::kFaults};
+  ASSERT_GE(tried.size(), order.size());
+  FuzzDims expected;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    expected.add(order[i]);
+    EXPECT_EQ(tried[i], expected) << "drop " << i;
+  }
+
+  // A failure that needs the scheduler keeps it and drops the rest; a
+  // dimension the scenario lacks is never tried.
+  tried.clear();
+  const ShrinkSpec keeps_sched =
+      minimize(11, {},
+               [&tried](std::uint64_t, const ShrinkSpec& c) {
+                 tried.push_back(c.dropped);
+                 return !c.dropped.has(FuzzDim::kSched);
+               },
+               {FuzzDim::kSched, FuzzDim::kFaults});
+  EXPECT_FALSE(keeps_sched.dropped.has(FuzzDim::kSched));
+  EXPECT_TRUE(keeps_sched.dropped.has(FuzzDim::kFaults));
+  for (const FuzzDims d : tried) {
+    EXPECT_FALSE(d.has(FuzzDim::kNetTopology));
+    EXPECT_FALSE(d.has(FuzzDim::kManagerFaults));
+  }
 }
 
 TEST(Minimize, KeepsTheInitialSpecWhenNothingHarsherFails) {

@@ -2,11 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::node {
 namespace {
+
+// Brute-force references for the utilization index, built only on the
+// cluster's raw per-node state: linear scans over every up node, strictly
+// lower utilization wins, ties to the lower id.
+std::optional<ProcessorId> scanLeastUtilized(
+    const Cluster& cluster, const std::vector<ProcessorId>& exclude) {
+  std::optional<ProcessorId> best;
+  for (const ProcessorId id : cluster.ids()) {
+    if (!cluster.isUp(id) ||
+        std::find(exclude.begin(), exclude.end(), id) != exclude.end()) {
+      continue;
+    }
+    if (!best || cluster.lastUtilization(id).value() <
+                     cluster.lastUtilization(*best).value()) {
+      best = id;
+    }
+  }
+  return best;
+}
+
+std::vector<ProcessorId> scanBelowUtilization(const Cluster& cluster,
+                                              Utilization limit) {
+  std::vector<ProcessorId> out;
+  for (const ProcessorId id : cluster.ids()) {
+    if (cluster.isUp(id) &&
+        cluster.lastUtilization(id).value() < limit.value()) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
 
 TEST(Cluster, ConstructsRequestedNodes) {
   sim::Simulator sim;
@@ -82,8 +117,7 @@ TEST(Cluster, LeastUtilizedAllZeroStartupPicksLowestId) {
   cluster.sampleUtilization();
   ASSERT_TRUE(cluster.leastUtilized({}).has_value());
   EXPECT_EQ(*cluster.leastUtilized({}), (ProcessorId{0}));
-  cluster.setUtilizationIndexEnabled(false);
-  EXPECT_EQ(*cluster.leastUtilized({}), (ProcessorId{0}));
+  EXPECT_EQ(scanLeastUtilized(cluster, {}), (ProcessorId{0}));
 }
 
 TEST(Cluster, IdsAreCachedAndStable) {
@@ -100,8 +134,8 @@ TEST(Cluster, IdsAreCachedAndStable) {
 
 // Load a cluster with a deterministic spread of utilizations (node i busy
 // for i ms of a 100 ms window, with deliberate duplicates) and compare the
-// indexed queries against the seed's linear scans across many exclusion
-// sets and fresh samples.
+// indexed queries against the reference scan across many exclusion sets
+// and fresh samples.
 TEST(Cluster, IndexMatchesReferenceScanUnderChurn) {
   sim::Simulator sim;
   constexpr std::uint32_t kNodes = 37;
@@ -126,11 +160,8 @@ TEST(Cluster, IndexMatchesReferenceScanUnderChurn) {
         exclude.push_back(ProcessorId{
             static_cast<std::uint32_t>(rng.uniformInt(0, kNodes - 1))});
       }
-      cluster.setUtilizationIndexEnabled(true);
       const auto indexed = cluster.leastUtilized(exclude);
-      cluster.setUtilizationIndexEnabled(false);
-      const auto scanned = cluster.leastUtilized(exclude);
-      cluster.setUtilizationIndexEnabled(true);
+      const auto scanned = scanLeastUtilized(cluster, exclude);
       ASSERT_EQ(indexed, scanned)
           << "round " << round << " trial " << trial;
     }
@@ -153,9 +184,8 @@ TEST(Cluster, BelowUtilizationMatchesScanAndIsAscending) {
 
   for (const double pct : {0.0, 10.0, 20.0, 35.0, 100.0}) {
     const Utilization limit = Utilization::percent(pct);
-    cluster.setUtilizationIndexEnabled(false);
-    const std::vector<ProcessorId> scanned = cluster.belowUtilization(limit);
-    cluster.setUtilizationIndexEnabled(true);
+    const std::vector<ProcessorId> scanned =
+        scanBelowUtilization(cluster, limit);
     const std::vector<ProcessorId>& indexed = cluster.belowUtilization(limit);
     ASSERT_EQ(indexed, scanned) << "limit " << pct << "%";
     for (std::size_t i = 1; i < indexed.size(); ++i) {
@@ -166,7 +196,7 @@ TEST(Cluster, BelowUtilizationMatchesScanAndIsAscending) {
 
 // The cursor must yield exactly the sequence that the Fig.-5 growth loop
 // historically produced with one leastUtilized(exclude) query per added
-// replica — in both index and reference-scan modes.
+// replica — and that the reference scan produces.
 TEST(Cluster, CursorMatchesRepeatedLeastUtilizedQueries) {
   sim::Simulator sim;
   constexpr std::uint32_t kNodes = 29;
@@ -182,27 +212,21 @@ TEST(Cluster, CursorMatchesRepeatedLeastUtilizedQueries) {
   sim.runFor(SimDuration::millis(100.0));
   cluster.sampleUtilization();
 
-  for (const bool use_index : {true, false}) {
-    cluster.setUtilizationIndexEnabled(use_index);
-    const std::vector<ProcessorId> initial{ProcessorId{3}, ProcessorId{17}};
-    auto cursor = cluster.utilizationCursor(initial);
-    std::vector<ProcessorId> exclude = initial;
-    std::size_t yields = 0;
-    while (const auto got = cursor.next()) {
-      cluster.setUtilizationIndexEnabled(true);
-      const auto ref_indexed = cluster.leastUtilized(exclude);
-      cluster.setUtilizationIndexEnabled(false);
-      const auto ref_scan = cluster.leastUtilized(exclude);
-      cluster.setUtilizationIndexEnabled(use_index);
-      ASSERT_TRUE(ref_indexed.has_value());
-      ASSERT_EQ(*got, *ref_indexed) << "yield " << yields;
-      ASSERT_EQ(*got, *ref_scan) << "yield " << yields;
-      exclude.push_back(*got);
-      ++yields;
-    }
-    EXPECT_EQ(yields, kNodes - initial.size()) << "use_index " << use_index;
+  const std::vector<ProcessorId> initial{ProcessorId{3}, ProcessorId{17}};
+  auto cursor = cluster.utilizationCursor(initial);
+  std::vector<ProcessorId> exclude = initial;
+  std::size_t yields = 0;
+  while (const auto got = cursor.next()) {
+    const auto ref_indexed = cluster.leastUtilized(exclude);
+    const auto ref_scan = scanLeastUtilized(cluster, exclude);
+    ASSERT_TRUE(ref_indexed.has_value());
+    ASSERT_EQ(*got, *ref_indexed) << "yield " << yields;
+    ASSERT_EQ(ref_scan, got) << "yield " << yields;
+    exclude.push_back(*got);
+    ++yields;
   }
-  cluster.setUtilizationIndexEnabled(true);
+  EXPECT_EQ(yields, kNodes - initial.size());
+  EXPECT_FALSE(scanLeastUtilized(cluster, exclude).has_value());
 }
 
 TEST(Cluster, IndexRefreshesAfterEachSample) {
@@ -293,12 +317,13 @@ TEST(Cluster, MaskingAgreesWithReferenceScan) {
   cluster.setNodeUp(ProcessorId{3}, false);
   cluster.sampleUtilization();
   const auto indexed = cluster.leastUtilized({});
-  cluster.setUtilizationIndexEnabled(false);
-  const auto scanned = cluster.leastUtilized({});
+  const auto scanned = scanLeastUtilized(cluster, {});
   ASSERT_TRUE(indexed.has_value());
   ASSERT_TRUE(scanned.has_value());
   EXPECT_EQ(*indexed, *scanned);
   EXPECT_EQ(*indexed, (ProcessorId{2}));  // busiest survivors: 0.8 vs 0.4
+  const Utilization all = Utilization::fraction(1.0);
+  EXPECT_EQ(cluster.belowUtilization(all), scanBelowUtilization(cluster, all));
 }
 
 TEST(Cluster, RestartUnmasksNode) {

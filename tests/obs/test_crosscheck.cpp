@@ -3,9 +3,10 @@
 // For every seed, the same run is tallied three independent ways — the obs
 // trace/registry, the manager's EpisodeMetrics, and the invariant oracle's
 // own hook counters — and runFuzzCase reconciles them (misses, effective
-// replications, shutdowns, allocation failures, delivery receipts). A
-// mismatch means an instrumentation site was dropped, double-counted, or
-// drifted from the behavior it claims to describe.
+// replications, shutdowns, allocation failures, delivery receipts, and each
+// heartbeat detector's heartbeats and declarations). A mismatch means an
+// instrumentation site was dropped, double-counted, or drifted from the
+// behavior it claims to describe.
 #include <gtest/gtest.h>
 
 #include "check/fuzz.hpp"
@@ -20,7 +21,8 @@ TEST(ObsCrossCheck, FiftySeedsReconcileAcrossThreeSources) {
   std::uint64_t growth_checks_seen = 0;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const bool with_faults = seed % 2 == 1;
-    const FuzzScenario scenario = makeFuzzScenario(seed, shrink, with_faults);
+    const FuzzScenario scenario = makeFuzzScenario(
+        seed, shrink, with_faults ? FuzzDims{FuzzDim::kFaults} : FuzzDims{});
     for (const AllocatorKind kind :
          {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
       obs::Observability bundle;
@@ -47,6 +49,35 @@ TEST(ObsCrossCheck, FiftySeedsReconcileAcrossThreeSources) {
   }
   // The sweep must actually have exercised the predictive growth loop.
   EXPECT_GT(growth_checks_seen, 100u);
+}
+
+TEST(ObsCrossCheck, BothDetectorsReconcileUnderTheirOwnNames) {
+  // Node faults plus manager faults: every case runs a node detector and
+  // a manager-endpoint detector, and each one's heartbeats and
+  // declarations must survive into the registry under its own names.
+  ShrinkSpec shrink;
+  shrink.max_periods = 8;
+  const FuzzDims dims{FuzzDim::kFaults, FuzzDim::kManagerFaults};
+  std::uint64_t manager_heartbeats = 0;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    const FuzzScenario scenario = makeFuzzScenario(seed, shrink, dims);
+    ASSERT_GT(scenario.managers, 1u) << "seed " << seed;
+    for (const AllocatorKind kind :
+         {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
+      obs::Observability bundle;
+      const FuzzCaseResult r = runFuzzCase(scenario, kind, &bundle);
+      EXPECT_TRUE(r.obs_mismatch.empty())
+          << "seed " << seed << " " << experiments::algorithmName(kind)
+          << " +faults +manager-faults:\n"
+          << r.obs_mismatch;
+      ASSERT_NE(bundle.metrics.findCounter("fault.heartbeats_sent"), nullptr);
+      const obs::Counter* mgr =
+          bundle.metrics.findCounter("fault.target.heartbeats_sent");
+      ASSERT_NE(mgr, nullptr);
+      manager_heartbeats += mgr->value();
+    }
+  }
+  EXPECT_GT(manager_heartbeats, 0u);
 }
 
 }  // namespace

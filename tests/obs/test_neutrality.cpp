@@ -24,8 +24,10 @@ TEST(ObsNeutrality, FuzzDigestsIdenticalWithObsAttached) {
   } cases[] = {{1, false}, {2, false}, {11, true}, {12, true}};
   std::uint64_t total_recorded = 0;
   for (const auto& c : cases) {
-    const check::FuzzScenario scenario =
-        check::makeFuzzScenario(c.seed, shrink, c.faults);
+    const check::FuzzScenario scenario = check::makeFuzzScenario(
+        c.seed, shrink,
+        c.faults ? check::FuzzDims{check::FuzzDim::kFaults}
+                 : check::FuzzDims{});
     for (const check::AllocatorKind kind :
          {check::AllocatorKind::kPredictive,
           check::AllocatorKind::kNonPredictive}) {

@@ -8,6 +8,7 @@
 //
 //   fuzz_scenarios --seeds 500            # sweep seeds 0..499
 //   fuzz_scenarios --replay-seed 123      # re-run one reproducer
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -19,42 +20,17 @@
 
 namespace {
 
-rtdrm::check::ShrinkSpec shrinkFromFlags(std::int64_t max_subtasks,
-                                         std::int64_t max_periods, bool flat,
-                                         bool drop_faults,
-                                         bool drop_manager_faults,
-                                         bool drop_sched,
-                                         bool drop_period_adjust,
-                                         bool drop_net_topology,
-                                         bool drop_workload_mix) {
-  rtdrm::check::ShrinkSpec shrink;
-  if (max_subtasks > 0) {
-    shrink.max_subtasks = static_cast<std::size_t>(max_subtasks);
-  }
-  if (max_periods > 0) {
-    shrink.max_periods = static_cast<std::uint64_t>(max_periods);
-  }
-  shrink.flatten_workload = flat;
-  shrink.drop_faults = drop_faults;
-  shrink.drop_manager_faults = drop_manager_faults;
-  shrink.drop_sched = drop_sched;
-  shrink.drop_period_adjust = drop_period_adjust;
-  shrink.drop_net_topology = drop_net_topology;
-  shrink.drop_workload_mix = drop_workload_mix;
-  return shrink;
-}
+using rtdrm::check::kFuzzDims;
 
-std::string reproLine(std::uint64_t seed,
-                      const rtdrm::check::ShrinkSpec& shrink, bool faults,
-                      bool manager_faults, bool sched, bool period_adjust,
-                      bool net_topology, bool workload_mix) {
-  return "fuzz_scenarios --replay-seed=" + std::to_string(seed) +
-         (faults ? " --faults" : "") +
-         (manager_faults ? " --manager-faults" : "") +
-         (sched ? " --sched" : "") +
-         (period_adjust ? " --period-adjust" : "") +
-         (net_topology ? " --net-topology" : "") +
-         (workload_mix ? " --workload-mix" : "") + shrink.cliFlags();
+/// Prints the parser's bad-value message and returns false unless
+/// `value >= min`.
+bool atLeast(const char* flag, std::int64_t value, std::int64_t min) {
+  if (value >= min) {
+    return true;
+  }
+  std::cerr << "fuzz_scenarios: bad value '" << value << "' for --" << flag
+            << " (must be >= " << min << ")\n";
+  return false;
 }
 
 }  // namespace
@@ -66,18 +42,8 @@ int main(int argc, char** argv) {
   std::int64_t max_subtasks = 0;
   std::int64_t max_periods = 0;
   bool flat = false;
-  bool faults = false;
-  bool manager_faults = false;
-  bool sched = false;
-  bool period_adjust = false;
-  bool net_topology = false;
-  bool workload_mix = false;
-  bool drop_faults = false;
-  bool drop_manager_faults = false;
-  bool drop_sched = false;
-  bool drop_period_adjust = false;
-  bool drop_net_topology = false;
-  bool drop_workload_mix = false;
+  std::array<bool, kFuzzDims.size()> grow{};
+  std::array<bool, kFuzzDims.size()> drop{};
   bool no_shrink = false;
   bool verbose = false;
   std::string repro_out;
@@ -98,49 +64,15 @@ int main(int argc, char** argv) {
               &max_subtasks)
       .addInt("max-periods", "cap the horizon in periods (0 = uncapped)",
               &max_periods)
-      .addFlag("flat", "flatten the workload table to its mean", &flat)
-      .addFlag("faults",
-               "grow a fault schedule (crashes, throttles, frame loss, "
-               "clock outages) per seed",
-               &faults)
-      .addFlag("manager-faults",
-               "grow a decentralized-plane dimension per seed (2-3 manager "
-               "endpoints plus a manager crash/restart schedule)",
-               &manager_faults)
-      .addFlag("sched",
-               "grow a scheduler dimension per seed (the cluster draws one "
-               "of rr/fifo/priority/edf/rms/llf)",
-               &sched)
-      .addFlag("period-adjust",
-               "grow an elastic-period dimension per seed (max_period bound "
-               "plus the manager's dilation lever)",
-               &period_adjust)
-      .addFlag("net-topology",
-               "grow a network-topology dimension per seed (bus or a 2-4 "
-               "segment switched fabric, line or star)",
-               &net_topology)
-      .addFlag("workload-mix",
-               "grow a workload-mix dimension per seed (pareto / surge / "
-               "multi contender flows)",
-               &workload_mix)
-      .addFlag("drop-faults", "strip the fault schedule (shrink cap)",
-               &drop_faults)
-      .addFlag("drop-manager-faults",
-               "strip the decentralized-plane dimension (shrink cap)",
-               &drop_manager_faults)
-      .addFlag("drop-sched",
-               "back to the Round-Robin baseline scheduler (shrink cap)",
-               &drop_sched)
-      .addFlag("drop-period-adjust",
-               "strip the elastic-period dimension (shrink cap)",
-               &drop_period_adjust)
-      .addFlag("drop-net-topology",
-               "back to the shared bus (shrink cap)",
-               &drop_net_topology)
-      .addFlag("drop-workload-mix",
-               "back to the paper workload family (shrink cap)",
-               &drop_workload_mix)
-      .addFlag("no-shrink", "report failures without minimizing", &no_shrink)
+      .addFlag("flat", "flatten the workload table to its mean", &flat);
+  for (std::size_t i = 0; i < kFuzzDims.size(); ++i) {
+    parser.addFlag(kFuzzDims[i].flag, kFuzzDims[i].help, &grow[i]);
+  }
+  for (std::size_t i = 0; i < kFuzzDims.size(); ++i) {
+    parser.addFlag(std::string("drop-") + kFuzzDims[i].flag,
+                   kFuzzDims[i].drop_help, &drop[i]);
+  }
+  parser.addFlag("no-shrink", "report failures without minimizing", &no_shrink)
       .addFlag("verbose", "print every scenario as it runs", &verbose)
       .addString("repro-out",
                  "write the minimized reproducer command to this file",
@@ -157,12 +89,17 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) {
     return parser.helpRequested() ? 0 : 2;
   }
+  if (!atLeast("seeds", seeds, 0) || !atLeast("start-seed", start_seed, 0) ||
+      !atLeast("replay-seed", replay_seed, -1) ||
+      !atLeast("max-subtasks", max_subtasks, 0) ||
+      !atLeast("max-periods", max_periods, 0) ||
+      !atLeast("threads", threads, 0) || !atLeast("shards", shards, 1)) {
+    return 2;
+  }
 
-  rtdrm::parallel::setThreads(
-      threads < 0 ? 0u : static_cast<unsigned>(threads));
+  rtdrm::parallel::setThreads(static_cast<unsigned>(threads));
   rtdrm::check::FuzzExecConfig exec;
-  exec.sim_shards =
-      shards < 1 ? std::size_t{1} : static_cast<std::size_t>(shards);
+  exec.sim_shards = static_cast<std::size_t>(shards);
   if (!rtdrm::parallel::parseSimMode(sim_mode, &exec.sim_mode)) {
     std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
     return 2;
@@ -175,21 +112,27 @@ int main(int argc, char** argv) {
   }
   rtdrm::parallel::setLookaheadPolicy(exec.lookahead);
 
-  const rtdrm::check::ShrinkSpec shrink =
-      shrinkFromFlags(max_subtasks, max_periods, flat, drop_faults,
-                      drop_manager_faults, drop_sched, drop_period_adjust,
-                      drop_net_topology, drop_workload_mix);
+  rtdrm::check::FuzzDims dims;
+  rtdrm::check::ShrinkSpec shrink;
+  shrink.max_subtasks = static_cast<std::size_t>(max_subtasks);
+  shrink.max_periods = static_cast<std::uint64_t>(max_periods);
+  shrink.flatten_workload = flat;
+  for (std::size_t i = 0; i < kFuzzDims.size(); ++i) {
+    if (grow[i]) {
+      dims.add(kFuzzDims[i].dim);
+    }
+    if (drop[i]) {
+      shrink.dropped.add(kFuzzDims[i].dim);
+    }
+  }
 
   if (replay_seed >= 0) {
     const auto seed = static_cast<std::uint64_t>(replay_seed);
-    const rtdrm::check::FuzzScenario scenario =
-        rtdrm::check::makeFuzzScenario(seed, shrink, faults, manager_faults,
-                                       sched, period_adjust, net_topology,
-                                       workload_mix);
-    std::cout << "replaying " << scenario.summary() << "\n";
-    const rtdrm::check::FuzzOutcome outcome = rtdrm::check::runFuzzSeed(
-        seed, shrink, faults, exec, manager_faults, sched, period_adjust,
-        net_topology, workload_mix);
+    std::cout << "replaying "
+              << rtdrm::check::makeFuzzScenario(seed, shrink, dims).summary()
+              << "\n";
+    const rtdrm::check::FuzzOutcome outcome =
+        rtdrm::check::runFuzzSeed(seed, shrink, dims, exec);
     if (outcome.failed()) {
       std::cout << "FAIL: " << outcome.detail << "\n";
       return 1;
@@ -204,17 +147,11 @@ int main(int argc, char** argv) {
   const auto count = static_cast<std::uint64_t>(seeds);
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     if (verbose) {
-      std::cout
-          << rtdrm::check::makeFuzzScenario(seed, shrink, faults,
-                                            manager_faults, sched,
-                                            period_adjust, net_topology,
-                                            workload_mix)
-                 .summary()
-          << std::endl;
+      std::cout << rtdrm::check::makeFuzzScenario(seed, shrink, dims).summary()
+                << std::endl;
     }
-    const rtdrm::check::FuzzOutcome outcome = rtdrm::check::runFuzzSeed(
-        seed, shrink, faults, exec, manager_faults, sched, period_adjust,
-        net_topology, workload_mix);
+    const rtdrm::check::FuzzOutcome outcome =
+        rtdrm::check::runFuzzSeed(seed, shrink, dims, exec);
     total_checks += outcome.checks;
     if (!outcome.failed()) {
       if (!verbose && (seed - first + 1) % 50 == 0) {
@@ -234,29 +171,17 @@ int main(int argc, char** argv) {
       std::cout << "shrinking...\n";
       minimal = rtdrm::check::minimize(
           seed, shrink,
-          [faults, manager_faults, sched, period_adjust, net_topology,
-           workload_mix,
-           &exec](std::uint64_t s, const rtdrm::check::ShrinkSpec& c) {
-            return rtdrm::check::runFuzzSeed(s, c, faults, exec,
-                                             manager_faults, sched,
-                                             period_adjust, net_topology,
-                                             workload_mix)
-                .failed();
+          [dims, &exec](std::uint64_t s, const rtdrm::check::ShrinkSpec& c) {
+            return rtdrm::check::runFuzzSeed(s, c, dims, exec).failed();
           },
-          faults, manager_faults, sched, period_adjust, net_topology,
-          workload_mix);
+          dims);
       std::cout << "minimal scenario: "
-                << rtdrm::check::makeFuzzScenario(seed, minimal, faults,
-                                                  manager_faults, sched,
-                                                  period_adjust, net_topology,
-                                                  workload_mix)
+                << rtdrm::check::makeFuzzScenario(seed, minimal, dims)
                        .summary()
                 << "\n";
     }
-    const std::string repro = reproLine(seed, minimal, faults,
-                                        manager_faults, sched,
-                                        period_adjust, net_topology,
-                                        workload_mix);
+    const std::string repro =
+        rtdrm::check::reproLine(seed, dims, minimal, exec);
     std::cout << "reproduce with:\n  " << repro << "\n";
     if (!repro_out.empty()) {
       std::ofstream out(repro_out);

@@ -6,7 +6,6 @@
 //   rtdrm sweep    [--pattern P] [--out PREFIX]       Figs. 9/10-style sweep
 //
 // Every subcommand accepts --help.
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -44,6 +43,18 @@ int findStage(const task::TaskSpec& spec, const std::string& name,
   return 1;
 }
 
+/// Prints the parser's bad-value message and returns false unless
+/// `value >= min`.
+bool atLeast(const char* program, const char* flag, std::int64_t value,
+             std::int64_t min) {
+  if (value >= min) {
+    return true;
+  }
+  std::cerr << program << ": bad value '" << value << "' for --" << flag
+            << " (must be >= " << min << ")\n";
+  return false;
+}
+
 int cmdProfile(int argc, const char* const* argv) {
   std::string subtask = "Filter";
   std::string out = "exec_samples.csv";
@@ -57,6 +68,9 @@ int cmdProfile(int argc, const char* const* argv) {
       .addInt("seed", "profiling RNG seed", &seed);
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
+  }
+  if (!atLeast("rtdrm profile", "samples", samples, 1)) {
+    return 1;
   }
   const task::TaskSpec spec = apps::makeAawTaskSpec();
   std::size_t stage = 0;
@@ -116,124 +130,162 @@ int parseAlgorithm(const std::string& s, experiments::AlgorithmKind* out) {
   return 1;
 }
 
-/// Parses --period-adjust ("off" | "on"). Returns 0, or 1 on a bad value.
-int parsePeriodAdjust(const std::string& s, bool* out) {
-  if (s == "off") {
-    *out = false;
-    return 0;
-  }
-  if (s == "on") {
-    *out = true;
-    return 0;
-  }
-  std::cerr << "unknown period-adjust mode '" << s << "' (off | on)\n";
-  return 1;
-}
-
-/// Applies the shared execution flags (--threads, --sim-mode,
-/// --lookahead) to the process-wide parallel configuration. Returns 0, or
-/// 1 on a bad mode/policy.
-int applyExecFlags(std::int64_t threads, const std::string& sim_mode,
-                   const std::string& lookahead) {
-  parallel::setThreads(
-      threads < 0 ? 0u : static_cast<unsigned>(threads));
-  parallel::SimMode mode{};
-  if (!parallel::parseSimMode(sim_mode, &mode)) {
-    std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
-    return 1;
-  }
-  parallel::setSimMode(mode);
-  parallel::LookaheadPolicy policy{};
-  if (!parallel::parseLookaheadPolicy(lookahead, &policy)) {
-    std::cerr << "unknown lookahead policy '" << lookahead
-              << "' (static | adaptive)\n";
-    return 1;
-  }
-  parallel::setLookaheadPolicy(policy);
-  return 0;
-}
-
-/// Applies the shared network/workload flags (--net, --segments,
-/// --fabric-topology, --port-buffer, --workload, --tail-index,
-/// --contenders) to an episode config. Returns 0, or 1 on a bad value.
-int applyNetWorkloadFlags(const std::string& net_model,
-                          std::int64_t segments,
-                          const std::string& fabric_topology,
-                          std::int64_t port_buffer,
-                          const std::string& workload_mix,
-                          double tail_index, std::int64_t contenders,
-                          experiments::EpisodeConfig* cfg) {
-  if (!net::parseNetKind(net_model, &cfg->scenario.net_kind)) {
-    std::cerr << "unknown network model '" << net_model
-              << "' (bus | switched)\n";
-    return 1;
-  }
-  cfg->scenario.fabric.segments =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, segments));
-  if (!net::parseFabricTopology(fabric_topology,
-                                &cfg->scenario.fabric.topology)) {
-    std::cerr << "unknown fabric topology '" << fabric_topology
-              << "' (line | star)\n";
-    return 1;
-  }
-  cfg->scenario.fabric.port_buffer_frames =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, port_buffer));
-  if (!workload::parseWorkloadMix(workload_mix, &cfg->workload_mix)) {
-    std::cerr << "unknown workload mix '" << workload_mix
-              << "' (paper | pareto | surge | multi)\n";
-    return 1;
-  }
-  if (tail_index <= 0.0) {
-    std::cerr << "--tail-index must be positive\n";
-    return 1;
-  }
-  cfg->pareto.tail_index = tail_index;
-  cfg->contenders.flows =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, contenders));
-  return 0;
-}
-
-int cmdEpisode(int argc, const char* const* argv) {
+/// The options `rtdrm episode` and `rtdrm sweep` share, declared once:
+/// registered on either parser, then checked and applied to the episode
+/// config at entry, before any model is fitted.
+struct EpisodeFlags {
   std::string pattern = "triangular";
-  std::string algorithm = "predictive";
-  double max_tracks = 10000.0;
   std::int64_t periods = 72;
-  std::int64_t seed = 42;
   std::int64_t threads = 0;
   std::int64_t shards = 1;
   std::string sim_mode = "det";
   std::string lookahead = "adaptive";
+  std::string sched = "rr";
+  std::string period_adjust = "off";
+  std::string net = "bus";
+  std::int64_t segments = 2;
+  std::string fabric_topology = "line";
+  std::int64_t port_buffer = 32;
+  std::string workload = "paper";
+  double tail_index = 1.5;
+  std::int64_t contenders = 2;
+
+  void addTo(ArgParser& args) {
+    args.addString("pattern", "increasing | decreasing | triangular",
+                   &pattern)
+        .addInt("periods", "episode length", &periods)
+        .addInt("threads", "worker threads (0 = RTDRM_THREADS or cores)",
+                &threads)
+        .addInt("shards", "event-kernel shards (1 = single queue)", &shards)
+        .addString("sim-mode", "det | fast (sharded window execution)",
+                   &sim_mode)
+        .addString("lookahead",
+                   "static | adaptive (sharded barrier-window sizing; "
+                   "digest-identical, adaptive runs far fewer barriers)",
+                   &lookahead)
+        .addString("sched",
+                   "node scheduling policy: rr | fifo | priority | edf | rms "
+                   "| llf",
+                   &sched)
+        .addString("period-adjust",
+                   "off | on (elastic period dilation when the forecast "
+                   "rejects replication)",
+                   &period_adjust)
+        .addString("net",
+                   "network substrate: bus (shared 100 Mbps segment, the "
+                   "paper's Table 1) | switched (multi-segment store-and-"
+                   "forward fabric)",
+                   &net)
+        .addInt("segments", "switch segments (--net switched)", &segments)
+        .addString("fabric-topology", "line | star (--net switched)",
+                   &fabric_topology)
+        .addInt("port-buffer",
+                "per-egress-port buffer in frames (--net switched)",
+                &port_buffer)
+        .addString("workload",
+                   "workload mix: paper | pareto (heavy-tailed arrivals) | "
+                   "surge (correlated multi-sensor) | multi (paper + "
+                   "co-hosted contender flows)",
+                   &workload)
+        .addDouble("tail-index",
+                   "Pareto tail index alpha (--workload pareto)", &tail_index)
+        .addInt("contenders",
+                "co-hosted contender flows (--workload multi)", &contenders);
+  }
+
+  /// Checks every value, sets the process-wide execution configuration and
+  /// fills `cfg`. Returns 0, or 1 after printing what is wrong.
+  int apply(const char* program, experiments::EpisodeConfig* cfg) const {
+    if (pattern != "increasing" && pattern != "decreasing" &&
+        pattern != "triangular") {
+      std::cerr << "unknown pattern '" << pattern
+                << "' (increasing | decreasing | triangular)\n";
+      return 1;
+    }
+    if (!atLeast(program, "periods", periods, 1) ||
+        !atLeast(program, "threads", threads, 0) ||
+        !atLeast(program, "shards", shards, 1) ||
+        !atLeast(program, "segments", segments, 1) ||
+        !atLeast(program, "port-buffer", port_buffer, 1) ||
+        !atLeast(program, "contenders", contenders, 0)) {
+      return 1;
+    }
+    parallel::SimMode mode{};
+    if (!parallel::parseSimMode(sim_mode, &mode)) {
+      std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
+      return 1;
+    }
+    parallel::LookaheadPolicy policy{};
+    if (!parallel::parseLookaheadPolicy(lookahead, &policy)) {
+      std::cerr << "unknown lookahead policy '" << lookahead
+                << "' (static | adaptive)\n";
+      return 1;
+    }
+    if (!node::parseSchedPolicy(sched, &cfg->scenario.cpu.policy)) {
+      std::cerr << "unknown scheduling policy '" << sched
+                << "' (rr | fifo | priority | edf | rms | llf)\n";
+      return 1;
+    }
+    if (period_adjust != "off" && period_adjust != "on") {
+      std::cerr << "unknown period-adjust mode '" << period_adjust
+                << "' (off | on)\n";
+      return 1;
+    }
+    if (!net::parseNetKind(net, &cfg->scenario.net_kind)) {
+      std::cerr << "unknown network model '" << net
+                << "' (bus | switched)\n";
+      return 1;
+    }
+    if (!net::parseFabricTopology(fabric_topology,
+                                  &cfg->scenario.fabric.topology)) {
+      std::cerr << "unknown fabric topology '" << fabric_topology
+                << "' (line | star)\n";
+      return 1;
+    }
+    if (!workload::parseWorkloadMix(workload, &cfg->workload_mix)) {
+      std::cerr << "unknown workload mix '" << workload
+                << "' (paper | pareto | surge | multi)\n";
+      return 1;
+    }
+    if (tail_index <= 0.0) {
+      std::cerr << "--tail-index must be positive\n";
+      return 1;
+    }
+    parallel::setThreads(static_cast<unsigned>(threads));
+    parallel::setSimMode(mode);
+    parallel::setLookaheadPolicy(policy);
+    cfg->periods = static_cast<std::uint64_t>(periods);
+    cfg->scenario.sim_shards = static_cast<std::size_t>(shards);
+    cfg->scenario.sim_mode = mode;
+    cfg->scenario.sim_lookahead = policy;
+    cfg->scenario.cpu.validate();
+    cfg->manager.allow_period_adjust = period_adjust == "on";
+    cfg->scenario.fabric.segments = static_cast<std::size_t>(segments);
+    cfg->scenario.fabric.port_buffer_frames =
+        static_cast<std::size_t>(port_buffer);
+    cfg->pareto.tail_index = tail_index;
+    cfg->contenders.flows = static_cast<std::size_t>(contenders);
+    return 0;
+  }
+};
+
+int cmdEpisode(int argc, const char* const* argv) {
+  EpisodeFlags shared;
+  std::string algorithm = "predictive";
+  double max_tracks = 10000.0;
+  std::int64_t seed = 42;
   bool refit = false;
   bool histogram = false;
   std::string trace_out;
-  std::string sched = "rr";
-  std::string period_adjust = "off";
   std::int64_t managers = 1;
   std::int64_t manager_fault = 0;
   std::int64_t manager_fault_target = 0;
   double manager_restart = 0.0;
-  std::string net_model = "bus";
-  std::int64_t segments = 2;
-  std::string fabric_topology = "line";
-  std::int64_t port_buffer = 32;
-  std::string workload_mix = "paper";
-  double tail_index = 1.5;
-  std::int64_t contenders = 2;
   ArgParser args("rtdrm episode", "run one evaluation episode");
-  args.addString("pattern", "increasing | decreasing | triangular", &pattern)
-      .addString("algorithm", "predictive | nonpredictive", &algorithm)
+  shared.addTo(args);
+  args.addString("algorithm", "predictive | nonpredictive", &algorithm)
       .addDouble("max-tracks", "pattern peak workload", &max_tracks)
-      .addInt("periods", "episode length", &periods)
       .addInt("seed", "master seed", &seed)
-      .addInt("threads", "worker threads (0 = RTDRM_THREADS or cores)",
-              &threads)
-      .addInt("shards", "event-kernel shards (1 = single queue)", &shards)
-      .addString("sim-mode", "det | fast (sharded window execution)",
-                 &sim_mode)
-      .addString("lookahead",
-                 "static | adaptive (sharded barrier-window sizing; "
-                 "digest-identical, adaptive runs far fewer barriers)",
-                 &lookahead)
       .addInt("managers",
               "manager endpoints (1 = legacy centralized plane, > 1 shards "
               "the management plane with gossip + failover)",
@@ -249,34 +301,6 @@ int cmdEpisode(int argc, const char* const* argv) {
                  "restart the crashed endpoint this many periods after the "
                  "crash (0 = never)",
                  &manager_restart)
-      .addString("sched",
-                 "node scheduling policy: rr | fifo | priority | edf | rms "
-                 "| llf",
-                 &sched)
-      .addString("period-adjust",
-                 "off | on (elastic period dilation when the forecast "
-                 "rejects replication)",
-                 &period_adjust)
-      .addString("net",
-                 "network substrate: bus (shared 100 Mbps segment, the "
-                 "paper's Table 1) | switched (multi-segment store-and-"
-                 "forward fabric)",
-                 &net_model)
-      .addInt("segments", "switch segments (--net switched)", &segments)
-      .addString("fabric-topology", "line | star (--net switched)",
-                 &fabric_topology)
-      .addInt("port-buffer",
-              "per-egress-port buffer in frames (--net switched)",
-              &port_buffer)
-      .addString("workload",
-                 "workload mix: paper | pareto (heavy-tailed arrivals) | "
-                 "surge (correlated multi-sensor) | multi (paper + "
-                 "co-hosted contender flows)",
-                 &workload_mix)
-      .addDouble("tail-index",
-                 "Pareto tail index alpha (--workload pareto)", &tail_index)
-      .addInt("contenders",
-              "co-hosted contender flows (--workload multi)", &contenders)
       .addFlag("refit", "enable online model refinement", &refit)
       .addFlag("histogram", "print the end-to-end latency histogram",
                &histogram)
@@ -288,7 +312,27 @@ int cmdEpisode(int argc, const char* const* argv) {
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  if (applyExecFlags(threads, sim_mode, lookahead) != 0) {
+  experiments::EpisodeConfig cfg;
+  const auto node_count = static_cast<std::int64_t>(cfg.scenario.node_count);
+  if (shared.apply("rtdrm episode", &cfg) != 0 ||
+      !atLeast("rtdrm episode", "managers", managers, 1) ||
+      !atLeast("rtdrm episode", "manager-fault", manager_fault, 0) ||
+      !atLeast("rtdrm episode", "manager-fault-target", manager_fault_target,
+               0)) {
+    return 1;
+  }
+  if (managers > node_count) {
+    std::cerr << "--managers " << managers << " exceeds the " << node_count
+              << " nodes\n";
+    return 1;
+  }
+  if (manager_fault > 0 && managers == 1) {
+    std::cerr << "--manager-fault needs --managers > 1\n";
+    return 1;
+  }
+  if (manager_fault > 0 && manager_fault_target >= managers) {
+    std::cerr << "--manager-fault-target " << manager_fault_target
+              << " is not one of the " << managers << " managers\n";
     return 1;
   }
   experiments::AlgorithmKind kind{};
@@ -301,32 +345,11 @@ int cmdEpisode(int argc, const char* const* argv) {
       experiments::fitAllModels(spec, experiments::defaultModelFitConfig());
   workload::RampParams ramp;
   ramp.max_workload = DataSize::tracks(max_tracks);
-  const auto pat = workload::makeFig8Pattern(pattern, ramp);
-  experiments::EpisodeConfig cfg;
+  const auto pat = workload::makeFig8Pattern(shared.pattern, ramp);
   fault::FaultPlan manager_crash;
-  cfg.periods = static_cast<std::uint64_t>(periods);
   cfg.scenario.seed = static_cast<std::uint64_t>(seed);
-  cfg.scenario.sim_shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, shards));
-  cfg.scenario.sim_mode = parallel::config().sim_mode;
-  cfg.scenario.sim_lookahead = parallel::config().lookahead;
-  if (!node::parseSchedPolicy(sched, &cfg.scenario.cpu.policy)) {
-    std::cerr << "unknown scheduling policy '" << sched
-              << "' (rr | fifo | priority | edf | rms | llf)\n";
-    return 1;
-  }
-  cfg.scenario.cpu.validate();
-  if (applyNetWorkloadFlags(net_model, segments, fabric_topology,
-                            port_buffer, workload_mix, tail_index,
-                            contenders, &cfg) != 0) {
-    return 1;
-  }
-  if (parsePeriodAdjust(period_adjust, &cfg.manager.allow_period_adjust) !=
-      0) {
-    return 1;
-  }
   cfg.manager.online_refit = refit;
-  if (pattern == "decreasing") {
+  if (shared.pattern == "decreasing") {
     cfg.manager.d_init = ramp.max_workload;
   }
   if (managers > 1) {
@@ -345,9 +368,6 @@ int cmdEpisode(int argc, const char* const* argv) {
       }
       cfg.faults = &manager_crash;
     }
-  } else if (manager_fault > 0) {
-    std::cerr << "--manager-fault needs --managers > 1\n";
-    return 1;
   }
   obs::Observability bundle;
   if (!trace_out.empty()) {
@@ -390,99 +410,32 @@ int cmdEpisode(int argc, const char* const* argv) {
 }
 
 int cmdSweep(int argc, const char* const* argv) {
-  std::string pattern = "triangular";
+  EpisodeFlags shared;
   std::string out = "sweep";
-  std::int64_t periods = 72;
   std::int64_t replications = 1;
-  std::int64_t threads = 0;
-  std::int64_t shards = 1;
-  std::string sim_mode = "det";
-  std::string lookahead = "adaptive";
-  std::string sched = "rr";
-  std::string period_adjust = "off";
-  std::string net_model = "bus";
-  std::int64_t segments = 2;
-  std::string fabric_topology = "line";
-  std::int64_t port_buffer = 32;
-  std::string workload_mix = "paper";
-  double tail_index = 1.5;
-  std::int64_t contenders = 2;
   bool serial = false;
   ArgParser args("rtdrm sweep",
                  "both algorithms across max workloads (Figs. 9/10 style)");
-  args.addString("pattern", "increasing | decreasing | triangular", &pattern)
-      .addString("out", "output CSV prefix", &out)
-      .addInt("periods", "episode length per point", &periods)
+  shared.addTo(args);
+  args.addString("out", "output CSV prefix", &out)
       .addInt("replications", "seeds averaged per point", &replications)
-      .addInt("threads",
-              "worker threads for the point fan-out "
-              "(0 = RTDRM_THREADS or cores)",
-              &threads)
-      .addInt("shards",
-              "event-kernel shards per episode (1 = single queue)", &shards)
-      .addString("sim-mode", "det | fast (sharded window execution)",
-                 &sim_mode)
-      .addString("lookahead",
-                 "static | adaptive (sharded barrier-window sizing)",
-                 &lookahead)
-      .addString("sched",
-                 "node scheduling policy: rr | fifo | priority | edf | rms "
-                 "| llf",
-                 &sched)
-      .addString("period-adjust",
-                 "off | on (elastic period dilation when the forecast "
-                 "rejects replication)",
-                 &period_adjust)
-      .addString("net", "bus | switched (network substrate)", &net_model)
-      .addInt("segments", "switch segments (--net switched)", &segments)
-      .addString("fabric-topology", "line | star (--net switched)",
-                 &fabric_topology)
-      .addInt("port-buffer",
-              "per-egress-port buffer in frames (--net switched)",
-              &port_buffer)
-      .addString("workload", "paper | pareto | surge | multi",
-                 &workload_mix)
-      .addDouble("tail-index",
-                 "Pareto tail index alpha (--workload pareto)", &tail_index)
-      .addInt("contenders",
-              "co-hosted contender flows (--workload multi)", &contenders)
       .addFlag("serial", "run sweep points one at a time", &serial);
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  if (applyExecFlags(threads, sim_mode, lookahead) != 0) {
+  experiments::SweepConfig cfg;
+  if (shared.apply("rtdrm sweep", &cfg.episode) != 0 ||
+      !atLeast("rtdrm sweep", "replications", replications, 1)) {
     return 1;
   }
   const task::TaskSpec spec = apps::makeAawTaskSpec();
   std::cout << "[fitting models...]\n";
   const auto fitted =
       experiments::fitAllModels(spec, experiments::defaultModelFitConfig());
-  experiments::SweepConfig cfg;
-  cfg.episode.periods = static_cast<std::uint64_t>(periods);
-  cfg.episode.scenario.sim_shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, shards));
-  cfg.episode.scenario.sim_mode = parallel::config().sim_mode;
-  cfg.episode.scenario.sim_lookahead = parallel::config().lookahead;
-  if (!node::parseSchedPolicy(sched, &cfg.episode.scenario.cpu.policy)) {
-    std::cerr << "unknown scheduling policy '" << sched
-              << "' (rr | fifo | priority | edf | rms | llf)\n";
-    return 1;
-  }
-  cfg.episode.scenario.cpu.validate();
-  if (applyNetWorkloadFlags(net_model, segments, fabric_topology,
-                            port_buffer, workload_mix, tail_index,
-                            contenders, &cfg.episode) != 0) {
-    return 1;
-  }
-  if (parsePeriodAdjust(period_adjust,
-                        &cfg.episode.manager.allow_period_adjust) != 0) {
-    return 1;
-  }
-  cfg.replications = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, replications));
+  cfg.replications = static_cast<std::size_t>(replications);
   cfg.parallel = !serial;
-  const auto points =
-      experiments::runWorkloadSweep(spec, fitted.models, pattern, cfg);
+  const auto points = experiments::runWorkloadSweep(spec, fitted.models,
+                                                    shared.pattern, cfg);
   Table t({"max workload (x500)", "pred combined", "nonpred combined",
            "pred missed %", "nonpred missed %"},
           3);
@@ -492,7 +445,7 @@ int cmdSweep(int argc, const char* const* argv) {
               p.non_predictive.missed_pct});
   }
   t.print(std::cout);
-  const std::string csv = out + "_" + pattern + ".csv";
+  const std::string csv = out + "_" + shared.pattern + ".csv";
   if (t.writeCsv(csv)) {
     std::cout << "(written to " << csv << ")\n";
   }
