@@ -18,6 +18,7 @@ InvariantOracle::~InvariantOracle() {
   // Release the singleton hook slots we claimed so the watched objects can
   // outlive the oracle without dangling callbacks.
   if (sim_ != nullptr) {
+    sim_->setPreEventHook(nullptr);
     sim_->setPostEventHook(nullptr);
   }
   if (net_ != nullptr) {
@@ -48,6 +49,13 @@ void InvariantOracle::watch(sim::Simulator& sim) {
   RTDRM_ASSERT_MSG(sim_ == nullptr, "oracle already watches a simulator");
   sim_ = &sim;
   if (config_.check_every_event) {
+    // Gossip age and the recovery clock only grow between events, and the
+    // rows and placements they judge change only inside events, so a check
+    // just before each event sees their supremum.
+    sim.setPreEventHook([this] {
+      checkRecoveryDeadlines();
+      checkPlane();
+    });
     sim.setPostEventHook([this] { sweep(); });
   }
 }

@@ -73,8 +73,10 @@ struct OracleConfig {
   bool abort_on_violation = false;
   /// Keep at most this many violation records (the count is unbounded).
   std::size_t max_recorded = 100;
-  /// Sweep all watched state after every executed simulation event. Off,
-  /// checks still run at every manager hook point.
+  /// Sweep all watched state after every executed simulation event, and
+  /// check the time-continuous invariants (gossip staleness, recovery
+  /// deadlines) just before each one as well. Off, checks still run at
+  /// every manager hook point.
   bool check_every_event = true;
   /// Recovery deadline: a node down for longer than this must no longer
   /// appear in any watched placement. Cover detector worst-case latency
