@@ -242,6 +242,17 @@ bool runThreadAxis(const task::TaskSpec& spec,
   return parity_ok;
 }
 
+/// Prints the parser's bad-value message and returns false unless
+/// `value >= min`.
+bool atLeast(const char* flag, std::int64_t value, std::int64_t min) {
+  if (value >= min) {
+    return true;
+  }
+  std::cerr << "bench_scale: bad value '" << value << "' for --" << flag
+            << " (must be >= " << min << ")\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -284,14 +295,23 @@ int main(int argc, char** argv) {
   parser.addDouble("min-frac", "ramp floor as a fraction of the peak",
                    &min_frac);
   parser.addInt("ramp", "triangular ramp length in periods", &ramp_periods);
-  parser.addInt("nodes", "run a single node count instead of the grid",
+  parser.addInt("nodes",
+                "run a single node count instead of the grid (0 = grid)",
                 &only_nodes);
-  parser.addInt("tasks", "run a single task count instead of the grid",
+  parser.addInt("tasks",
+                "run a single task count instead of the grid (0 = grid)",
                 &only_tasks);
   if (!parser.parse(argc, argv)) {
     return parser.helpRequested() ? 0 : 2;
   }
-  parallel::setThreads(threads < 0 ? 0u : static_cast<unsigned>(threads));
+  // Every integer is checked before any model is fitted or cell is run.
+  if (!atLeast("periods", periods, 1) || !atLeast("ramp", ramp_periods, 1) ||
+      !atLeast("repeat", repeat, 1) || !atLeast("shards", shards, 2) ||
+      !atLeast("nodes", only_nodes, 0) || !atLeast("tasks", only_tasks, 0) ||
+      !atLeast("threads", threads, 0)) {
+    return 2;
+  }
+  parallel::setThreads(static_cast<unsigned>(threads));
   parallel::SimMode grid_mode{};
   if (!parallel::parseSimMode(sim_mode, &grid_mode)) {
     std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
@@ -392,7 +412,7 @@ int main(int argc, char** argv) {
               : std::vector<unsigned>{1, 2, 4, 8};
     parity_ok = runThreadAxis(
         spec, fitted.models, axis,
-        static_cast<std::size_t>(std::max<std::int64_t>(2, shards)),
+        static_cast<std::size_t>(shards),
         thread_grid, &ta);
     ta.print(std::cout);
     if (ta.writeCsv("bench_out/scale_threads.csv")) {
