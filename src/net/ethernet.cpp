@@ -14,7 +14,9 @@ Ethernet::Ethernet(sim::Simulator& simulator, std::size_t node_count,
       config_(config),
       nics_(node_count),
       marshal_busy_until_(node_count, SimTime::zero()),
-      payload_bytes_from_(node_count, 0.0) {
+      payload_bytes_from_(node_count, 0.0),
+      guard_(sim_.addInsertionGuard(
+          [this](SimTime at) { onInsertion(at); })) {
   RTDRM_ASSERT(node_count > 0);
   RTDRM_ASSERT(config_.mtu > Bytes::zero());
   RTDRM_ASSERT(config_.rate.bitsPerSecond() > 0.0);
@@ -22,9 +24,7 @@ Ethernet::Ethernet(sim::Simulator& simulator, std::size_t node_count,
 }
 
 Ethernet::~Ethernet() {
-  if (train_.active) {
-    sim_.disarmInsertionGuard();  // its callback points at this bus
-  }
+  sim_.removeInsertionGuard(guard_);  // its callback points at this bus
 }
 
 void Ethernet::send(Message msg) {
@@ -135,11 +135,10 @@ void Ethernet::arbitrate() {
 
 bool Ethernet::startTrain(std::size_t nic) {
   // Contended grants and fault runs stay per-frame; so does a message that
-  // fits one frame (nothing to skip) and a second bus on this simulator
-  // while the first holds the insertion guard.
+  // fits one frame (nothing to skip).
   const Bytes remaining = nics_[nic].front().remaining;
   if (backlogged_nics_ != 1 || frame_fate_hook_ != nullptr ||
-      remaining <= config_.mtu || sim_.insertionGuardArmed()) {
+      remaining <= config_.mtu) {
     return false;
   }
   // The per-frame path's frame ends, with its own double additions: each
@@ -165,8 +164,7 @@ bool Ethernet::startTrain(std::size_t nic) {
   // The train's event takes the key frame 0's end event would have taken.
   train_.mark = sim_.orderMark();
   train_.event = sim_.scheduleAt(end, [this] { onTrainEnd(); });
-  sim_.armInsertionGuard(train_.ends.front(), end,
-                         [this](SimTime at) { onInsertion(at); });
+  sim_.armInsertionGuard(guard_, train_.ends.front(), end);
   return true;
 }
 
@@ -225,7 +223,7 @@ void Ethernet::passFrameEnds(std::size_t upto) const {
 
 void Ethernet::splitTrain() {
   catchUp();
-  sim_.disarmInsertionGuard();
+  sim_.disarmInsertionGuard(guard_);
   sim_.cancel(train_.event);
   train_.active = false;
   const std::size_t nic = train_.nic;
@@ -237,7 +235,7 @@ void Ethernet::splitTrain() {
 }
 
 void Ethernet::onTrainEnd() {
-  sim_.disarmInsertionGuard();
+  sim_.disarmInsertionGuard(guard_);
   passFrameEnds(train_.ends.size() - 1);
   train_.active = false;
   nics_[train_.nic].front().remaining = train_.remaining;

@@ -207,6 +207,8 @@ class Ethernet final : public NetworkModel {
   mutable double payload_bytes_ = 0.0;
   mutable std::vector<double> payload_bytes_from_;
   mutable Train train_;
+  /// This bus's insertion-guard client, armed while a train runs.
+  sim::Simulator::GuardId guard_;
   DeliveryObserver delivery_observer_;
   FrameFateHook frame_fate_hook_;
 };

@@ -8,51 +8,17 @@ namespace rtdrm::node {
 
 BackgroundLoad::BackgroundLoad(sim::Simulator& simulator, Processor& cpu,
                                Xoshiro256 rng, BackgroundLoadConfig config)
-    : sim_(simulator), cpu_(cpu), rng_(rng), config_(config) {
-  RTDRM_ASSERT(config_.mean_service > SimDuration::zero());
+    : cpu_(cpu) {
+  RTDRM_ASSERT(config.mean_service > SimDuration::zero());
+  RTDRM_ASSERT(&simulator == &cpu.sim_);
+  cpu_.attachLoad(rng, config.mean_service, config.exponential_service,
+                  config.priority);
 }
 
-BackgroundLoad::~BackgroundLoad() {
-  if (armed_) {
-    sim_.cancel(pending_);
-  }
-}
+BackgroundLoad::~BackgroundLoad() { cpu_.detachLoad(); }
 
 void BackgroundLoad::setTarget(Utilization target) {
-  target_ = Utilization::fraction(std::min(target.value(), 0.95));
-  if (target_.value() <= 0.0) {
-    if (armed_) {
-      sim_.cancel(pending_);
-      armed_ = false;
-    }
-    return;
-  }
-  if (!armed_) {
-    armNextArrival();
-  }
-}
-
-void BackgroundLoad::armNextArrival() {
-  const double mean_interarrival_ms =
-      config_.mean_service.ms() / target_.value();
-  const SimDuration gap =
-      SimDuration::millis(rng_.exponentialMean(mean_interarrival_ms));
-  armed_ = true;
-  pending_ = sim_.scheduleAfter(gap, [this] { onArrival(); });
-}
-
-void BackgroundLoad::onArrival() {
-  armed_ = false;
-  const double mean = config_.mean_service.ms();
-  const double demand_ms = config_.exponential_service
-                               ? rng_.exponentialMean(mean)
-                               : rng_.uniform(0.5 * mean, 1.5 * mean);
-  cpu_.submit(Job{SimDuration::millis(demand_ms), nullptr, "bg",
-                  config_.priority});
-  ++injected_;
-  if (target_.value() > 0.0) {
-    armNextArrival();
-  }
+  cpu_.setLoadTarget(Utilization::fraction(std::min(target.value(), 0.95)));
 }
 
 }  // namespace rtdrm::node

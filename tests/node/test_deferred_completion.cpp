@@ -1,9 +1,10 @@
-// Deferred completions (node/processor.hpp) against the end events they
-// replace. A job with an on_complete never defers, so the same random job
-// stream is run twice: once with its callback-free jobs bare (their lone
-// completions defer) and once with a no-op callback on each (every
-// completion is an event). Every read, the clock after each step() and
-// the clock at the end of the run must match bit for bit.
+// Lone callback-free completions, the shortest node train
+// (node/processor.hpp), against the end events they replace. A job with an
+// on_complete always completes on an event of its own, so the same random
+// job stream is run twice: once with its callback-free jobs bare (their
+// completions are train instants) and once with a no-op callback on each
+// (every completion is an event). Every read, the clock after each step()
+// and the clock at the end of the run must match bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -341,8 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),  // rr..llf
                        ::testing::Bool()));
 
-// A drained run ends at a deferred completion's instant, and a step
-// executes it in its turn.
+// A drained run ends at a lone completion's instant, and a step executes
+// it in its turn.
 TEST(DeferredCompletion, RunAllAndStepTreatItAsAnEvent) {
   sim::Simulator sim;
   Processor cpu(sim, ProcessorId{0});
@@ -352,7 +353,7 @@ TEST(DeferredCompletion, RunAllAndStepTreatItAsAnEvent) {
   EXPECT_TRUE(sim.step());
   EXPECT_DOUBLE_EQ(sim.now().ms(), 1.0);
   EXPECT_TRUE(cpu.busy());
-  EXPECT_TRUE(sim.step());  // the deferred completion
+  EXPECT_TRUE(sim.step());  // the completion, a train instant
   EXPECT_DOUBLE_EQ(sim.now().ms(), 2.5);
   EXPECT_FALSE(cpu.busy());
   EXPECT_FALSE(sim.step());
