@@ -1,12 +1,13 @@
 // Event-kernel microbenchmark: the slab + indexed-4-ary-heap kernel
 // (sim::Simulator) against the seed kernel (priority_queue + callback map +
 // tombstone set + std::function), compiled side by side in this binary so
-// before/after is one run. Three synthetic cases exercise the hot paths —
-// schedule/fire churn, schedule/cancel churn, a periodic-activity storm —
-// and one end-to-end case times a full Fig. 9 triangular episode pair on
-// the production kernel. Prints ns/event & events/sec, cross-checks that
-// both kernels fire in the identical order (checksum), and writes
-// bench_out/sim_kernel.csv.
+// before/after is one run. Synthetic cases exercise the hot paths —
+// schedule/fire churn, schedule/cancel churn, a periodic-activity storm,
+// fixed-delay transit churn under long timers (also run with the
+// production kernel's delay lanes) — and one end-to-end case times a full
+// Fig. 9 triangular episode pair on the production kernel. Prints
+// ns/event & events/sec, cross-checks that every kernel fires in the
+// identical order (checksum), and writes bench_out/sim_kernel.csv.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <iostream>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -341,6 +343,65 @@ CaseResult stormCase(std::uint64_t k, double horizon_ms) {
   return r;
 }
 
+/// Transit churn: `timers` pending timers at 1-100 ms that re-arm when they
+/// fire, under `frames` frames hopping back and forth at two fixed delays
+/// (7 us to a switch, 5 us to a host) until `horizon_ms` — the switched
+/// fabric's pattern, where each short hop would otherwise sift through a
+/// heap of long timers. With `lanes`, the production kernel registers the
+/// two hop delays as delay lanes.
+template <typename Sim>
+CaseResult transitCase(std::uint64_t timers, std::uint64_t frames,
+                       double horizon_ms, bool lanes) {
+  const SimDuration to_switch = SimDuration::micros(7.0);
+  const SimDuration to_host = SimDuration::micros(5.0);
+  CaseResult r;
+  for (int rep = 0; rep < 3; ++rep) {
+    Sim sim;
+    if constexpr (std::is_same_v<Sim, sim::Simulator>) {
+      if (lanes) {
+        sim.addLane(to_switch);
+        sim.addLane(to_host);
+      }
+    }
+    std::uint64_t sum = 0;
+    std::uint64_t fired = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::function<void()>> tickers(timers);
+    for (std::uint64_t a = 0; a < timers; ++a) {
+      const double period =
+          1.0 + static_cast<double>((a * 7919u) % 9901u) / 100.0;
+      tickers[a] = [&sim, &sum, &fired, &tickers, a, period] {
+        sum = sum * 31 + a;
+        ++fired;
+        sim.scheduleAfter(SimDuration::millis(period),
+                          [&tickers, a] { tickers[a](); });
+      };
+      sim.scheduleAfter(SimDuration::millis(period),
+                        [&tickers, a] { tickers[a](); });
+    }
+    std::function<void(std::uint64_t, bool)> hop =
+        [&](std::uint64_t f, bool at_switch) {
+          sum = sum * 31 + timers + f;
+          ++fired;
+          sim.scheduleAfter(at_switch ? to_host : to_switch,
+                            [&hop, f, at_switch] { hop(f, !at_switch); });
+        };
+    for (std::uint64_t f = 0; f < frames; ++f) {
+      sim.scheduleAt(SimTime::millis(1e-4 * static_cast<double>(f)),
+                     [&hop, f] { hop(f, false); });
+    }
+    sim.runUntil(SimTime::millis(horizon_ms));
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    if (rep == 0 || dt.count() < r.best_sec) {
+      r.best_sec = dt.count();
+    }
+    r.events = fired;
+    r.checksum = sum;
+  }
+  return r;
+}
+
 /// End-to-end: one Fig. 9 triangular episode pair (both algorithms) at a
 /// mid-sweep workload on the production kernel. No legacy counterpart —
 /// the stack links only one kernel — so this row tracks wall clock across
@@ -445,6 +506,34 @@ int main(int argc, char** argv) {
               << (same_order ? "order identical" : "ORDER MISMATCH") << "\n";
   }
 
+  // Transit churn: the legacy kernel, the production kernel with every
+  // event in the heap, and the production kernel with the two hop delays
+  // in lanes; all three must fire in the same order.
+  const std::vector<Row> transit_rows = {
+      {"transit", "legacy",
+       transitCase<legacy::Simulator>(2000, 32, 200.0, false)},
+      {"transit", "slab", transitCase<sim::Simulator>(2000, 32, 200.0, false)},
+      {"transit", "lanes", transitCase<sim::Simulator>(2000, 32, 200.0, true)},
+  };
+  std::cout << "\nTransit churn (2000 timers at 1-100 ms, 32 frames hopping at "
+               "7 and 5 us):\n";
+  for (const auto& r : transit_rows) {
+    printRow(r);
+  }
+  bool transit_same = true;
+  for (const auto& r : transit_rows) {
+    transit_same = transit_same &&
+                   r.res.checksum == transit_rows[0].res.checksum &&
+                   r.res.events == transit_rows[0].res.events;
+  }
+  ok = ok && transit_same;
+  std::cout << "  slab/lanes " << std::fixed << std::setprecision(2)
+            << transit_rows[1].res.best_sec / transit_rows[2].res.best_sec
+            << "x, legacy/lanes "
+            << transit_rows[0].res.best_sec / transit_rows[2].res.best_sec
+            << "x   "
+            << (transit_same ? "order identical" : "ORDER MISMATCH") << "\n";
+
   // Insertion-guard clients on the churn pattern: every armed client whose
   // span covers a schedule call is asked about it.
   std::cout << "\nInsertion-guard clients on the churn pattern (slab kernel):\n";
@@ -483,6 +572,10 @@ int main(int argc, char** argv) {
   std::ofstream csv("bench_out/sim_kernel.csv");
   csv << "case,kernel,events,ns_per_event,events_per_sec\n";
   for (const auto& r : rows) {
+    csv << r.case_name << ',' << r.kernel << ',' << r.res.events << ','
+        << r.res.nsPerEvent() << ',' << r.res.eventsPerSec() << '\n';
+  }
+  for (const auto& r : transit_rows) {
     csv << r.case_name << ',' << r.kernel << ',' << r.res.events << ','
         << r.res.nsPerEvent() << ',' << r.res.eventsPerSec() << '\n';
   }

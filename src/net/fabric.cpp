@@ -171,6 +171,13 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
     links_.push_back(Link{LinkKind::kUplink, s, l_count + t_count + j, s, 0,
                           {}, false, SimTime::zero()});
   }
+
+  // Delay lanes for the three fixed delays that carry most of the fabric's
+  // events: switch ingress, host arrival / NACK return, and the end of a
+  // full frame's serialization.
+  sim_.addLane(config_.link.propagation + config_.switch_latency);
+  sim_.addLane(config_.link.propagation);
+  sim_.addLane(frameTime(config_.link.mtu));
 }
 
 void SwitchedFabric::send(Message msg) {
@@ -233,8 +240,8 @@ void SwitchedFabric::send(Message msg) {
   }
 }
 
-SimDuration SwitchedFabric::frameTime(const Frame& f) const {
-  const Bytes padded = std::max(f.chunk, config_.link.min_payload);
+SimDuration SwitchedFabric::frameTime(Bytes chunk) const {
+  const Bytes padded = std::max(chunk, config_.link.min_payload);
   return config_.link.rate.transmissionTime(padded +
                                             config_.link.frame_overhead);
 }
@@ -252,7 +259,7 @@ void SwitchedFabric::pump(std::size_t li) {
   l.busy = true;
   l.busy_since = sim_.now();
   ++frames_;
-  sim_.scheduleAfter(frameTime(f), [this, li] { onTxEnd(li); });
+  sim_.scheduleAfter(frameTime(f.chunk), [this, li] { onTxEnd(li); });
 }
 
 void SwitchedFabric::onTxEnd(std::size_t li) {
@@ -275,7 +282,7 @@ void SwitchedFabric::onTxEnd(std::size_t li) {
     return;
   }
 
-  const SimDuration dup_time = frameTime(l.q.front());
+  const SimDuration dup_time = frameTime(l.q.front().chunk);
   Frame f = std::move(l.q.front());
   l.q.pop_front();
   if (l.kind == LinkKind::kUplink && !f.counted) {

@@ -194,7 +194,7 @@ class SwitchedFabric final : public NetworkModel {
   /// switch latency); routes it to the next egress port or tail-drops.
   void onSwitchIngress(std::size_t from_link, std::uint32_t seg, Frame f);
   void onHostArrival(Frame f);
-  SimDuration frameTime(const Frame& f) const;
+  SimDuration frameTime(Bytes chunk) const;
   std::size_t routeEgress(std::uint32_t seg, ProcessorId dst) const;
 
   sim::Simulator& sim_;

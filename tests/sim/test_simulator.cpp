@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace rtdrm::sim {
 namespace {
@@ -417,6 +424,441 @@ TEST(Simulator, TimelineInstantsInRunsAndSteps) {
   EXPECT_DOUBLE_EQ(sim.now().ms(), 7.0);
   EXPECT_FALSE(sim.peekNextEvent(&next));
   EXPECT_EQ(sim.eventsExecuted(), 1u);
+}
+
+// A lane event is an ordinary event: same keys, ids, cancel() and hooks as
+// a heap event, in the same order; only the heap's own high-water mark
+// leaves it out.
+TEST(Simulator, LaneEventsAreOrdinaryEvents) {
+  Simulator sim;
+  sim.addLane(SimDuration::millis(1.0));
+  std::vector<int> order;
+  int hooks = 0;
+  sim.setPostEventHook([&] { ++hooks; });
+  const EventId first = sim.scheduleAfter(SimDuration::millis(1.0),
+                                          [&] { order.push_back(0); });
+  sim.scheduleAt(SimTime::millis(1.0), [&] { order.push_back(1); });
+  const EventId third = sim.scheduleAfter(SimDuration::millis(1.0),
+                                          [&] { order.push_back(2); });
+  sim.scheduleAfter(SimDuration::millis(1.0), [&] { order.push_back(3); });
+  EXPECT_EQ(sim.laneEvents(), 3u);
+  EXPECT_EQ(sim.peakHeapDepth(), 1u);
+  EXPECT_EQ(sim.pendingEvents(), 4u);
+  EXPECT_TRUE(sim.cancel(third));
+  EXPECT_FALSE(sim.cancel(third));
+  SimTime next;
+  ASSERT_TRUE(sim.peekNextEvent(&next));
+  EXPECT_DOUBLE_EQ(next.ms(), 1.0);
+  sim.runAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_EQ(sim.eventsExecuted(), 3u);
+  EXPECT_EQ(sim.eventsCancelled(), 1u);
+  EXPECT_EQ(hooks, 3);
+}
+
+// At most four lanes; a fifth or repeated registration is a no-op and its
+// delay's events stay in the heap.
+TEST(Simulator, AFifthLaneIsANoOp) {
+  Simulator sim;
+  for (int d = 1; d <= 5; ++d) {
+    sim.addLane(SimDuration::millis(d));
+  }
+  sim.addLane(SimDuration::millis(1.0));
+  for (int d = 1; d <= 5; ++d) {
+    sim.scheduleAfter(SimDuration::millis(d), [] {});
+  }
+  sim.scheduleAfter(SimDuration::millis(1.5), [] {});
+  EXPECT_EQ(sim.laneEvents(), 4u);
+  EXPECT_EQ(sim.peakHeapDepth(), 2u);
+  EXPECT_TRUE(sim.runAll());
+  EXPECT_EQ(sim.eventsExecuted(), 6u);
+}
+
+std::string hexMs(double ms) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", ms);
+  return buf;
+}
+
+/// One side of the lane parity check: a simulator driven by a random
+/// script that logs everything observable (fired events with their time,
+/// key and id, hook calls, guard calls, cancel() results, run results,
+/// peekNextEvent(), firedPast()/orderMark() and the counters). Two scripts
+/// with the same seed must log the same lines whether or not their
+/// simulator has lanes.
+class LaneScript final : public Simulator::Timeline {
+ public:
+  /// The script's fixed delays (ms), a zero delay among them. With lanes,
+  /// all five are registered; the fifth registration is a no-op, so 2.0
+  /// stays in the heap.
+  static constexpr std::array<double, 5> kDelays = {0.0, 0.5, 1.25, 3.0,
+                                                    2.0};
+
+  LaneScript(std::uint64_t seed, bool lanes) : rng_(seed) {
+    if (lanes) {
+      for (const double d : kDelays) {
+        sim_.addLane(SimDuration::millis(d));
+      }
+    }
+    timeline_ = sim_.addTimeline(this);
+    guard_ = sim_.addInsertionGuard([this](SimTime at) { onGuard(at); });
+    sim_.setPreEventHook([this] { note("pre"); });
+    sim_.setPostEventHook([this] { note("post"); });
+  }
+  ~LaneScript() {
+    sim_.removeTimeline(timeline_);
+    sim_.removeInsertionGuard(guard_);
+  }
+
+  const Simulator& sim() const { return sim_; }
+  const std::vector<std::string>& log() const { return log_; }
+  /// Guard calls made for a fixed-delay scheduleAfter() (a lane push when
+  /// the simulator has lanes).
+  int guardedFixedPushes() const { return guarded_fixed_pushes_; }
+  /// Pending head, middle or tail entries of a lane delay cancelled.
+  int pendingFixedCancels() const { return pending_fixed_cancels_; }
+
+  void run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      mark_ = sim_.orderMark();
+      const std::int64_t kind = rng_.uniformInt(0, 15);
+      std::string line = "op" + std::to_string(kind);
+      switch (kind) {
+        case 0:
+        case 1:
+        case 2:
+          spawn(4);
+          break;
+        case 3:
+          line += tieBurst();
+          break;
+        case 4:
+        case 5:
+          line += " runUntil=" + std::to_string(sim_.runUntil(horizon()));
+          break;
+        case 6:
+          line += " runUntilBefore=" +
+                  std::to_string(sim_.runUntilBefore(horizon()));
+          break;
+        case 7:
+        case 8:
+          line += " step=" + std::to_string(sim_.step());
+          break;
+        case 9:
+          line += cancelFixed();
+          break;
+        case 10:
+          if (!ids_.empty()) {
+            const std::size_t n = pick(ids_.size());
+            line += " cancel#" + std::to_string(n) + "=" +
+                    std::to_string(cancel(n));
+          }
+          break;
+        case 11:
+          if (!sim_.insertionGuardArmed(guard_)) {
+            const double lo = sim_.now().ms() + 0.25 * pick(8);
+            sim_.armInsertionGuard(guard_, SimTime::millis(lo),
+                                   SimTime::millis(lo + 0.25 * pick(16)));
+          } else {
+            sim_.disarmInsertionGuard(guard_);
+          }
+          break;
+        case 12:
+          sim_.requestStop();
+          break;
+        case 13: {
+          SimTime next;
+          const bool have = sim_.peekNextEvent(&next);
+          line += " peek=" + std::to_string(have) +
+                  (have ? "@" + hexMs(next.ms()) : "");
+          break;
+        }
+        case 14:
+          line += " runAll=" + std::to_string(sim_.runAll());
+          break;
+        default:
+          addInstant(SimTime::millis(sim_.now().ms() + fixedDelay()));
+          break;
+      }
+      note(line);
+      log_.push_back("counters " + std::to_string(sim_.eventsExecuted()) +
+                     " " + std::to_string(sim_.eventsScheduled()) + " " +
+                     std::to_string(sim_.eventsCancelled()) + " " +
+                     std::to_string(sim_.pendingEvents()) + " " +
+                     std::to_string(sim_.instantsApplied()) + " mark " +
+                     std::to_string(sim_.orderMark()) + " past " +
+                     std::to_string(sim_.firedPast(mark_)));
+    }
+    if (sim_.stopPending()) {
+      sim_.consumeStopRequest();
+    }
+    sim_.disarmInsertionGuard(guard_);
+    note(" drain=" + std::to_string(sim_.runAll()));
+  }
+
+  void applyInstant() override {
+    const auto it = instants_.begin();
+    const int n = std::get<2>(*it);
+    instants_.erase(it);
+    publish();
+    note("instant#" + std::to_string(n));
+    if (rng_.uniform01() < 0.3) {
+      spawn(1);
+    }
+  }
+
+ private:
+  double fixedDelay() { return kDelays[pick(kDelays.size())]; }
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(
+        rng_.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  }
+
+  /// The same-time key of the running event (or the cursor between runs):
+  /// the least mark firedPast() does not pass.
+  std::uint64_t cursorKey() const {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = ~0ull;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (sim_.firedPast(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+  void note(const std::string& what) {
+    log_.push_back(what + " @" + hexMs(sim_.now().ms()) + " k" +
+                   std::to_string(cursorKey()));
+  }
+
+  /// A time a run may stop at: often exactly a pending fixed-delay event's.
+  SimTime horizon() {
+    if (!fixed_times_.empty() && rng_.uniform01() < 0.6) {
+      const std::size_t recent = std::min<std::size_t>(16, fixed_times_.size());
+      const double t = fixed_times_[fixed_times_.size() - 1 - pick(recent)];
+      if (t >= sim_.now().ms()) {
+        return SimTime::millis(t);
+      }
+    }
+    return SimTime::millis(sim_.now().ms() + 0.25 * pick(20));
+  }
+
+  /// Schedules one event that may spawn `depth - 1` levels more.
+  void spawn(int depth) {
+    if (ids_.size() >= 4000) {
+      return;
+    }
+    const std::int64_t kind = rng_.uniformInt(0, 9);
+    if (kind < 5) {
+      scheduleFixed(fixedDelay(), depth);
+      return;
+    }
+    const std::size_t n = nextId();
+    EventId id;
+    if (kind < 7) {
+      // Quarter-millisecond delays: some equal a lane's, most do not.
+      const double d = 0.25 * pick(25);
+      id = sim_.scheduleAfter(SimDuration::millis(d), body(n, depth));
+    } else if (kind < 9) {
+      id = sim_.scheduleAt(SimTime::millis(sim_.now().ms() + fixedDelay()),
+                           body(n, depth));
+    } else {
+      id = sim_.scheduleAtMerged(
+          SimTime::millis(sim_.now().ms() + fixedDelay()),
+          static_cast<std::uint32_t>(pick(3)), ++merged_seq_, body(n, depth));
+    }
+    ids_[n] = id;
+  }
+
+  void scheduleFixed(double d, int depth) {
+    const std::size_t lane = static_cast<std::size_t>(
+        std::find(kDelays.begin(), kDelays.end(), d) - kDelays.begin());
+    const std::size_t n = nextId();
+    in_fixed_push_ = true;
+    const EventId id =
+        sim_.scheduleAfter(SimDuration::millis(d), body(n, depth));
+    in_fixed_push_ = false;
+    ids_[n] = id;
+    fixed_[lane].push_back(n);
+    fixed_times_.push_back(sim_.now().ms() + d);
+  }
+
+  /// Equal-time ties at one fixed delay: a fixed-delay event, then the
+  /// same time through scheduleAt(), a merged post and a timeline
+  /// instant, then a fixed-delay event again.
+  std::string tieBurst() {
+    const double d = fixedDelay();
+    const SimTime at = SimTime::millis(sim_.now().ms() + d);
+    scheduleFixed(d, 2);
+    std::size_t n = nextId();
+    EventId id = sim_.scheduleAt(at, body(n, 1));
+    ids_[n] = id;
+    n = nextId();
+    id = sim_.scheduleAtMerged(at, 1, ++merged_seq_, body(n, 1));
+    ids_[n] = id;
+    addInstant(at);
+    scheduleFixed(d, 2);
+    return " ties@" + hexMs(at.ms());
+  }
+
+  /// Cancels the head, the middle or the tail of one delay's pending
+  /// events, or one of its events at random (most have fired already).
+  std::string cancelFixed() {
+    const std::size_t lane = pick(kDelays.size());
+    const std::vector<std::size_t>& ids = fixed_[lane];
+    if (ids.empty()) {
+      return "";
+    }
+    std::vector<std::size_t> pending;
+    for (std::size_t i = ids.size() > 64 ? ids.size() - 64 : 0;
+         i < ids.size(); ++i) {
+      if (!done_[ids[i]]) {
+        pending.push_back(ids[i]);
+      }
+    }
+    const std::size_t where = pick(4);
+    std::size_t n = ids[pick(ids.size())];
+    if (where < 3 && !pending.empty()) {
+      n = where == 0   ? pending.front()
+          : where == 1 ? pending[pending.size() / 2]
+                       : pending.back();
+    }
+    const bool cancelled = cancel(n);
+    if (cancelled && where < 3 && lane < Simulator::kMaxLanes) {
+      ++pending_fixed_cancels_;
+    }
+    return " cancel-fixed" + std::to_string(lane) + "/" +
+           std::to_string(where) + "#" + std::to_string(n) + "=" +
+           std::to_string(cancelled);
+  }
+
+  bool cancel(std::size_t n) {
+    const bool cancelled = sim_.cancel(ids_[n]);
+    done_[n] = done_[n] || cancelled;
+    return cancelled;
+  }
+
+  /// Reserves the script id of an event about to be scheduled (a guard
+  /// call may schedule another one first).
+  std::size_t nextId() {
+    ids_.emplace_back();
+    done_.push_back(false);
+    return ids_.size() - 1;
+  }
+
+  Simulator::Callback body(std::size_t n, int depth) {
+    return [this, n, depth] {
+      done_[n] = true;
+      note("fire#" + std::to_string(n) + " past " +
+           std::to_string(sim_.firedPast(mark_)) + " mark " +
+           std::to_string(sim_.orderMark()));
+      // Cancelling itself fails: the id is dead once the event fires.
+      log_.push_back("self-cancel=" + std::to_string(sim_.cancel(ids_[n])));
+      if (rng_.uniform01() < 0.03) {
+        sim_.requestStop();
+        log_.push_back("stop");
+      }
+      if (rng_.uniform01() < 0.1) {
+        log_.push_back(cancelFixed());
+      }
+      if (depth > 1) {
+        const std::int64_t children = rng_.uniformInt(0, 2);
+        for (std::int64_t c = 0; c < children; ++c) {
+          spawn(depth - 1);
+        }
+      }
+    };
+  }
+
+  void addInstant(SimTime at) {
+    instants_.insert({at.ms(), sim_.takeOrderKey(), next_instant_++});
+    publish();
+  }
+  void publish() {
+    if (instants_.empty()) {
+      sim_.clearTimelineNext(timeline_);
+      return;
+    }
+    const auto& [at_ms, key, n] = *instants_.begin();
+    sim_.setTimelineNext(timeline_, SimTime::millis(at_ms), key);
+  }
+
+  void onGuard(SimTime at) {
+    if (in_fixed_push_) {
+      ++guarded_fixed_pushes_;
+    }
+    log_.push_back("guard@" + hexMs(at.ms()) + " mark " +
+                   std::to_string(sim_.orderMark()));
+    if (rng_.uniform01() < 0.3) {
+      // As the bus does: disarm, then schedule ahead of the pending call.
+      sim_.disarmInsertionGuard(guard_);
+      const bool fixed = in_fixed_push_;
+      in_fixed_push_ = false;
+      const std::size_t n = nextId();
+      const EventId id = sim_.scheduleAt(at, body(n, 1));
+      ids_[n] = id;
+      in_fixed_push_ = fixed;
+    }
+  }
+
+  Simulator sim_;
+  Xoshiro256 rng_;
+  Simulator::TimelineId timeline_ = 0;
+  Simulator::GuardId guard_ = 0;
+  std::vector<std::string> log_;
+  std::vector<EventId> ids_;
+  std::vector<bool> done_;  // fired or cancelled, by script id
+  /// Per fixed delay: the script ids of its scheduleAfter() events.
+  std::array<std::vector<std::size_t>, kDelays.size()> fixed_;
+  std::vector<double> fixed_times_;
+  std::set<std::tuple<double, std::uint64_t, int>> instants_;
+  int next_instant_ = 0;
+  std::uint64_t merged_seq_ = 0;
+  std::uint64_t mark_ = 0;
+  bool in_fixed_push_ = false;
+  int guarded_fixed_pushes_ = 0;
+  int pending_fixed_cancels_ = 0;
+};
+
+// Lanes change where an event waits, never when it fires: random scripts
+// log the same lines on a simulator with lanes as on one without.
+TEST(Simulator, LanesKeepTheHeapOnlyOrderBitForBit) {
+  std::uint64_t lane_events = 0;
+  int guarded_lane_pushes = 0;
+  int pending_cancels = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    LaneScript with(seed, true);
+    LaneScript without(seed, false);
+    with.run(400);
+    without.run(400);
+    const auto& a = with.log();
+    const auto& b = without.log();
+    const std::size_t n = std::min(a.size(), b.size());
+    std::size_t first = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (a[i] != b[i]) {
+        first = i;
+        break;
+      }
+    }
+    ASSERT_EQ(first, n) << "seed " << seed << ": lanes log \"" << a[first]
+                        << "\", heap-only log \"" << b[first] << "\"";
+    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
+    EXPECT_EQ(without.sim().laneEvents(), 0u);
+    EXPECT_LE(with.sim().peakHeapDepth(), without.sim().peakHeapDepth());
+    lane_events += with.sim().laneEvents();
+    guarded_lane_pushes += with.guardedFixedPushes();
+    pending_cancels += with.pendingFixedCancels();
+  }
+  // Not vacuous: lanes carried events, the guard saw lane pushes and
+  // pending lane entries were cancelled.
+  EXPECT_GT(lane_events, 10000u);
+  EXPECT_GT(guarded_lane_pushes, 100);
+  EXPECT_GT(pending_cancels, 100);
 }
 
 }  // namespace
