@@ -607,10 +607,15 @@ void InvariantOracle::checkPlane() {
   }
   // Bounded staleness: no summary the active decides on may outlive the
   // configured bound (the plane excuses down origins and grants a
-  // one-bound grace after up-edges and elections).
+  // one-bound grace after up-edges and elections). One violation per
+  // excursion: reported when a check first sees the bound exceeded, and
+  // again only after a check has seen the view back within it.
   const double bound_ms = plane_->config().staleness_bound.ms();
   const double worst_ms = plane_->worstViewAgeMs();
-  if (worst_ms > bound_ms + config_.tolerance_ms) {
+  if (worst_ms <= bound_ms + config_.tolerance_ms) {
+    plane_stale_reported_ = false;
+  } else if (!plane_stale_reported_) {
+    plane_stale_reported_ = true;
     violate("plane-gossip-staleness",
             "active manager " + std::to_string(plane_->activeManager()) +
                 " decides on a summary " + std::to_string(worst_ms) +

@@ -171,7 +171,8 @@ class InvariantOracle final : public core::ManagerObserver,
   /// longer than the recovery grace (each crash reported at most once).
   void checkRecoveryDeadlines();
   /// Decentralized-plane sweep: active-role uniqueness and the gossip
-  /// staleness bound (needs a watched plane; no-op otherwise).
+  /// staleness bound (needs a watched plane; no-op otherwise). A staleness
+  /// excursion is reported once, however many checks it spans.
   void checkPlane();
   /// Sweeps every watched cluster / ledger / manager now.
   void sweep();
@@ -233,6 +234,8 @@ class InvariantOracle final : public core::ManagerObserver,
   };
   std::vector<MonitorVerdict> verdicts_;
   std::vector<DownNode> down_nodes_;
+  /// The current gossip-staleness excursion has been reported.
+  bool plane_stale_reported_ = false;
   std::uint64_t receipts_observed_ = 0;
   std::uint64_t misses_observed_ = 0;
   std::uint64_t effective_allocations_observed_ = 0;

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/rng.hpp"
 #include "core/allocators.hpp"
 #include "core/eqf.hpp"
 #include "core/ledger.hpp"
+#include "core/manager.hpp"
+#include "core/plane.hpp"
+#include "net/clock_sync.hpp"
+#include "net/ethernet.hpp"
+#include "node/cluster.hpp"
 
 namespace rtdrm::check {
 namespace {
@@ -306,6 +314,103 @@ TEST(InvariantOracleDeathTest, AbortModeDiesOnFirstViolation) {
         oracle.checkReceipt(bad);
       },
       "invariant violated");
+}
+
+/// A two-manager plane (gossip every 20 ms, staleness bound 80 ms) on a
+/// bus that loses every frame during blackouts, so the active's view of
+/// the other partition goes stale until the blackout ends and the queued
+/// summaries get through.
+struct StalePlaneBed {
+  StalePlaneBed()
+      : cluster(sim, 4),
+        ethernet(sim, 4, netConfig()),
+        clocks(sim, 4, Xoshiro256(1), idealClocks()) {
+    core::PredictiveModels models;
+    models.exec.resize(2);
+    models.exec[0].b3 = 1.0;
+    models.exec[1].b3 = 1.0;
+    models.comm.link_rate = BitRate::mbps(100.0);
+    core::ManagerConfig cfg;
+    cfg.d_init = DataSize::tracks(100.0);
+    manager = std::make_unique<core::ResourceManager>(
+        task::Runtime{sim, cluster, ethernet, clocks}, twoStageSpec(),
+        task::Placement({ProcessorId{0}, ProcessorId{1}}),
+        [](std::uint64_t) { return DataSize::tracks(100.0); },
+        std::make_unique<core::PredictiveAllocator>(models), models, cfg,
+        Xoshiro256(7));
+    core::PlaneConfig plane_cfg;
+    plane_cfg.managers = 2;
+    plane_cfg.gossip_interval = SimDuration::millis(20.0);
+    plane_cfg.staleness_bound = SimDuration::millis(80.0);
+    plane = std::make_unique<core::ManagementPlane>(sim, ethernet, cluster,
+                                                    plane_cfg);
+    plane->adopt(*manager);
+    ethernet.setFrameFateHook([this](const net::FrameHop&) {
+      return blackout ? net::FrameFate::kLose : net::FrameFate::kDeliver;
+    });
+    oracle.watch(sim);
+    oracle.watch(*plane);
+    plane->start(sim.now());
+  }
+  ~StalePlaneBed() { plane->stop(); }
+
+  void blackoutBetween(double from_ms, double to_ms) {
+    sim.scheduleAt(SimTime::millis(from_ms), [this] { blackout = true; });
+    sim.scheduleAt(SimTime::millis(to_ms), [this] { blackout = false; });
+  }
+
+  static net::EthernetConfig netConfig() {
+    net::EthernetConfig cfg;
+    cfg.host_ns_per_byte = 0.0;
+    cfg.propagation = SimDuration::zero();
+    return cfg;
+  }
+  static net::ClockSyncConfig idealClocks() {
+    net::ClockSyncConfig cfg;
+    cfg.initial_offset_max = SimDuration::zero();
+    cfg.drift_ppm_max = 0.0;
+    return cfg;
+  }
+
+  sim::Simulator sim;
+  node::Cluster cluster;
+  net::Ethernet ethernet;
+  net::ClockFabric clocks;
+  std::unique_ptr<core::ResourceManager> manager;
+  std::unique_ptr<core::ManagementPlane> plane;
+  InvariantOracle oracle;
+  bool blackout = false;
+};
+
+std::size_t stalenessViolations(const InvariantOracle& oracle) {
+  std::size_t n = 0;
+  for (const auto& v : oracle.recorded()) {
+    n += v.invariant == "plane-gossip-staleness" ? 1 : 0;
+  }
+  return n;
+}
+
+// A view kept stale across many events (every lost retransmission is one)
+// is one excursion: one violation.
+TEST(InvariantOracle, StaleGossipViewCountsOncePerExcursion) {
+  StalePlaneBed bed;
+  bed.blackoutBetween(200.0, 500.0);
+  bed.sim.runUntil(SimTime::millis(900.0));
+  EXPECT_GT(bed.plane->maxStalenessObservedMs(), 250.0);
+  EXPECT_GT(bed.ethernet.framesLost(), 100u);
+  EXPECT_EQ(stalenessViolations(bed.oracle), 1u);
+  EXPECT_EQ(bed.oracle.violationCount(), 1u);
+}
+
+// A view that recovers (the summaries get through) and lapses again is a
+// second excursion.
+TEST(InvariantOracle, StaleGossipViewThatRecoversAndLapsesCountsTwice) {
+  StalePlaneBed bed;
+  bed.blackoutBetween(200.0, 500.0);
+  bed.blackoutBetween(1000.0, 1300.0);
+  bed.sim.runUntil(SimTime::millis(1500.0));
+  EXPECT_EQ(stalenessViolations(bed.oracle), 2u);
+  EXPECT_EQ(bed.oracle.violationCount(), 2u);
 }
 
 }  // namespace
